@@ -7,9 +7,10 @@
      dune exec bench/main.exe                 all experiments + timings
      dune exec bench/main.exe -- e3 e6        selected experiments
      dune exec bench/main.exe -- timings      only the timing benches
-     dune exec bench/main.exe -- snapshot     write BENCH_PR9.json (see EXPERIMENTS.md)
-     dune exec bench/main.exe -- snapshot --check   validate the writer, write nothing
-     dune exec bench/main.exe -- compare OLD.json NEW.json   regression gate on throughput *)
+
+   The performance gate is the repository benchmark (BENCHMARK.json,
+   benchmark/README.md), run parent-vs-change on one machine; the
+   experiments here print the paper's tables. *)
 
 module Table = Sep_util.Table
 module Colour = Sep_model.Colour
@@ -37,8 +38,7 @@ let timed f =
 
 (* Best of [reps]: scheduler noise on this class of sub-second
    measurement is one-sided (contention only slows a run down), so the
-   minimum is the stable estimator — the regression gate in [compare]
-   depends on these numbers being reproducible. *)
+   minimum is the stable estimator. *)
 let timed_best ?(reps = 3) f =
   let best = ref (timed f) in
   for _ = 2 to reps do
@@ -606,16 +606,8 @@ let e14 () =
       ~columns:[ "scenario"; "masked"; "detected-safe"; "violating"; "watchdog" ] in
   List.iter
     (fun (sr : C.scenario_report) ->
-      let m, d, v =
-        List.fold_left
-          (fun (m, d, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, v)
-            | C.Detected_safe -> (m, d + 1, v)
-            | C.Recovered_safe -> (m, d, v)  (* E14 runs without a supervisor *)
-            | C.Violating -> (m, d, v + 1))
-          (0, 0, 0) sr.C.cases
-      in
+      (* E14 runs without a supervisor, so nothing is recovered-safe *)
+      let m, d, _, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
       Table.add_row t
         [
           sr.C.label;
@@ -717,16 +709,7 @@ let e16 () =
       ~columns:[ "scenario"; "masked"; "detected-safe"; "recovered-safe"; "violating"; "watchdog" ] in
   List.iter
     (fun (sr : C.scenario_report) ->
-      let m, d, r, v =
-        List.fold_left
-          (fun (m, d, r, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, r, v)
-            | C.Detected_safe -> (m, d + 1, r, v)
-            | C.Recovered_safe -> (m, d, r + 1, v)
-            | C.Violating -> (m, d, r, v + 1))
-          (0, 0, 0, 0) sr.C.cases
-      in
+      let m, d, r, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
       Table.add_row t
         [
           sr.C.label;
@@ -815,7 +798,6 @@ let e17 () =
 type monitor_overhead = {
   mo_label : string;
   mo_steps : int;
-  mo_period : int;
   mo_bare : float;  (** best-of-reps seconds without a watch *)
   mo_watched : float;  (** best-of-reps seconds with the watch attached *)
   mo_deep : int;  (** observations that escalated to a deep check *)
@@ -824,15 +806,10 @@ type monitor_overhead = {
 
 (* The 5000-step microcode stepping bench, bare vs with a [Monitor.watch]
    attached; best of [reps] runs for each side, because the loop itself
-   takes only a few milliseconds and the gate below quotes a ratio. *)
+   takes only a few milliseconds and the E18 table quotes a ratio. *)
 let measure_monitor_overhead ?(steps = 5_000) ?(period = 1_000) ?(reps = 21)
     (inst : Scenarios.instance) =
-  let alphabet = Array.of_list inst.Scenarios.alphabet in
-  let inputs n =
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
-  in
+  let inputs = Scenarios.drip inst.Scenarios.alphabet in
   let run watched =
     let t = Sue.build ~impl:Sue.Microcode inst.Scenarios.cfg in
     let w = if watched then Some (Monitor.watch ~period ~inputs:inst.Scenarios.alphabet t) else None in
@@ -856,7 +833,6 @@ let measure_monitor_overhead ?(steps = 5_000) ?(period = 1_000) ?(reps = 21)
   {
     mo_label = inst.Scenarios.label;
     mo_steps = steps;
-    mo_period = period;
     mo_bare = bare;
     mo_watched = watched;
     mo_deep = Monitor.deep_checks w;
@@ -900,8 +876,6 @@ let e18 () =
 type fed_measure = {
   fm_label : string;
   fm_faulty : bool;
-  fm_steps : int;
-  fm_seconds : float;
   fm_delivered : int;
   fm_words_per_sec : float;
   fm_p50 : float;
@@ -924,8 +898,6 @@ let measure_federation ?plan ?(steps = 2_000) (spec : Sep_fed.Fed.spec) =
   {
     fm_label = spec.F.fs_label;
     fm_faulty = plan <> None;
-    fm_steps = steps;
-    fm_seconds = secs;
     fm_delivered = ob.F.fob_delivered;
     fm_words_per_sec = (if secs > 0.0 then float_of_int ob.F.fob_delivered /. secs else 0.0);
     fm_p50 = Sep_obs.Telemetry.p50 h;
@@ -998,8 +970,6 @@ let e19 () =
 type svc_measure = {
   sm_label : string;
   sm_faulty : bool;
-  sm_steps : int;
-  sm_seconds : float;
   sm_requests : int;
   sm_committed : int;
   sm_requests_per_sec : float;
@@ -1031,8 +1001,6 @@ let measure_service ?plan ?(steps = 2_500) (dep : Sep_svc.Svc.deployment) =
   {
     sm_label = dep.Svc.dp_name;
     sm_faulty = plan <> None;
-    sm_steps = steps;
-    sm_seconds = secs;
     sm_requests = c.Svc.ct_requests;
     sm_committed = c.Svc.ct_committed;
     sm_requests_per_sec =
@@ -1250,664 +1218,6 @@ let timings () =
     tests;
   Table.print table
 
-(* -- snapshot: the machine-readable bench record ------------------------------ *)
-
-(* Writes BENCH_PR<n>.json: per-experiment wall clock, states explored,
-   checks/sec, per-regime kernel counters and the span profile, so the
-   perf trajectory of the repository is comparable across PRs. The schema
-   is documented in EXPERIMENTS.md; `snapshot --check` rebuilds the
-   snapshot in memory, parses it back and validates the shape without
-   touching the file. *)
-
-module Json = Sep_util.Json
-
-let snapshot_scenarios () =
-  Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ]
-
-let snapshot_json () =
-  Sep_obs.Span.set_enabled true;
-  Sep_obs.Span.reset ();
-  let check_experiments =
-    List.map
-      (fun (inst : Scenarios.instance) ->
-        let report, secs =
-          timed_best (fun () ->
-              Separability.check (Sue.to_system ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg))
-        in
-        Json.Obj
-          [
-            ("label", Json.String inst.Scenarios.label);
-            ("kind", Json.String "exhaustive-pos");
-            ("states", Json.Int report.Separability.states);
-            ("checks", Json.Int report.Separability.checks);
-            ("verified", Json.Bool (Separability.verified report));
-            ("seconds", Json.Float secs);
-            ( "checks_per_sec",
-              Json.Float
-                (if secs > 0.0 then float_of_int report.Separability.checks /. secs else 0.0) );
-          ])
-      (snapshot_scenarios ())
-  in
-  let kernel_runs =
-    let run (inst : Scenarios.instance) impl =
-      let alphabet = Array.of_list inst.Scenarios.alphabet in
-      let steps = 5_000 in
-      let inputs n =
-        if Array.length alphabet > 1 && n mod 10 = 0 then
-          alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-        else []
-      in
-      (* fresh kernel per rep so the counters below describe one run *)
-      let t, secs =
-        timed_best ~reps:7 (fun () ->
-            let t = Sue.build ~impl inst.Scenarios.cfg in
-            for n = 0 to steps - 1 do
-              ignore (Sue.step t (inputs n))
-            done;
-            t)
-      in
-      Json.Obj
-        [
-          ("label", Json.String inst.Scenarios.label);
-          ("impl", Json.String (Fmt.str "%a" Sue.pp_impl impl));
-          ("steps", Json.Int steps);
-          ("seconds", Json.Float secs);
-          ("steps_per_sec", Json.Float (if secs > 0.0 then float_of_int steps /. secs else 0.0));
-          ("counters", Sep_obs.Telemetry.to_json (Sue.telemetry t));
-        ]
-    in
-    List.map (fun inst -> run inst Sue.Microcode) (snapshot_scenarios ())
-    @ [ run Scenarios.pipeline Sue.Assembly ]
-  in
-  let fault_campaign =
-    let module C = Sep_robust.Campaign in
-    let report, secs = timed (fun () -> C.run ~seed:42 ~steps:200 ~count:40 ()) in
-    let dist = C.run_distributed ~seed:42 ~steps:40 ~count:20 in
-    match C.summary_json report with
-    | Json.Obj fields ->
-      Json.Obj (fields @ [ ("seconds", Json.Float secs); ("distributed", C.dist_to_json dist) ])
-    | other -> other
-  in
-  let fuzz =
-    let seed = 42 and budget = 480 in
-    let scenario_entries =
-      List.map
-        (fun (inst : Scenarios.instance) ->
-          let r, secs = timed (fun () -> Fuzz.fuzz_scenario ~seed ~budget inst) in
-          Json.Obj
-            [
-              ("label", Json.String inst.Scenarios.label);
-              ("execs", Json.Int r.Fuzz.sr_campaign.Fuzz.cp_execs);
-              ("corpus", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_entries));
-              ("coverage_keys", Json.Int (List.length r.Fuzz.sr_campaign.Fuzz.cp_keys));
-              ("failures", Json.Int (List.length r.Fuzz.sr_failures));
-              ("seconds", Json.Float secs);
-            ])
-        Scenarios.all
-    in
-    let kill_entries =
-      List.concat_map
-        (fun (e : Mutants.expectation) ->
-          List.map
-            (fun (_, run) ->
-              let k, secs = timed run in
-              match Score.kill_to_json k with
-              | Json.Obj fields -> Json.Obj (fields @ [ ("seconds", Json.Float secs) ])
-              | other -> other)
-            (kill_runs seed budget e))
-        Mutants.catalogue
-    in
-    Json.Obj
-      [
-        ("seed", Json.Int seed);
-        ("budget", Json.Int budget);
-        ("scenarios", Json.List scenario_entries);
-        ("kills", Json.List kill_entries);
-      ]
-  in
-  let recovery =
-    let module C = Sep_robust.Campaign in
-    let report, secs = timed (fun () -> C.run_recovery ~seed:42 ~steps:200 ~count:40 ()) in
-    let rel, rel_secs =
-      timed (fun () -> Sep_check.Diff.kernel_vs_reliable_net ~seed:42 ~cases:4 ~steps:150 ())
-    in
-    let rel_entries =
-      List.mapi
-        (fun i (rc : Sep_check.Diff.reliable_case) ->
-          let s = rc.Sep_check.Diff.rc_stats in
-          Json.Obj
-            [
-              ("case", Json.Int i);
-              ("delivered", Json.Int rc.Sep_check.Diff.rc_delivered);
-              ("mismatches", Json.Int (List.length rc.Sep_check.Diff.rc_mismatches));
-              ("lossy_drops", Json.Int s.Sep_distributed.Net.ls_lossy_drops);
-              ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
-              ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
-              ("backoff_ceiling", Json.Int s.Sep_distributed.Net.ls_backoff_ceiling);
-            ])
-        rel
-    in
-    match C.summary_json report with
-    | Json.Obj fields ->
-      Json.Obj
-        (fields
-        @ [
-            ("seconds", Json.Float secs);
-            ("reliable_net", Json.List rel_entries);
-            ("reliable_net_seconds", Json.Float rel_secs);
-          ])
-    | other -> other
-  in
-  let speedup =
-    let module C = Sep_robust.Campaign in
-    let jobs = Sep_par.Par.default_jobs () in
-    let r1, s1 = timed (fun () -> C.run ~jobs:1 ~seed:42 ~steps:120 ~count:24 ()) in
-    let rn, sn = timed (fun () -> C.run ~jobs ~seed:42 ~steps:120 ~count:24 ()) in
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("seconds_j1", Json.Float s1);
-        ("seconds_jn", Json.Float sn);
-        ("speedup", Json.Float (if sn > 0.0 then s1 /. sn else 0.0));
-        ("deterministic", Json.Bool (String.equal (C.report_to_jsonl r1) (C.report_to_jsonl rn)));
-      ]
-  in
-  let monitor =
-    let runs =
-      List.map
-        (fun inst ->
-          let r = measure_monitor_overhead inst in
-          let rate secs = if secs > 0.0 then float_of_int r.mo_steps /. secs else 0.0 in
-          Json.Obj
-            [
-              ("label", Json.String r.mo_label);
-              ("impl", Json.String "microcode");
-              ("steps", Json.Int r.mo_steps);
-              ("period", Json.Int r.mo_period);
-              ("seconds_bare", Json.Float r.mo_bare);
-              ("seconds_watched", Json.Float r.mo_watched);
-              ("steps_per_sec_bare", Json.Float (rate r.mo_bare));
-              ("steps_per_sec_watched", Json.Float (rate r.mo_watched));
-              ("overhead_frac", Json.Float (overhead_frac r));
-              ("deep_checks", Json.Int r.mo_deep);
-              ("clean", Json.Bool r.mo_clean);
-            ])
-        (snapshot_scenarios ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let latency =
-    (* end-to-end word latency over one reliable lossy link: the snfe
-       topology under the default link model, latency measured in net
-       steps from send-accept to in-order delivery *)
-    let net = Sep_distributed.Net.build ~link:Sep_distributed.Net.default_link_model
-        (Snfe.topology Snfe.default_config)
-    in
-    let steps = 400 in
-    let (), secs =
-      timed (fun () ->
-          for n = 0 to steps - 1 do
-            Sep_distributed.Net.step net
-              ~externals:(if n mod 2 = 0 then [ (Snfe.red, Fmt.str "m%d" n) ] else [])
-          done)
-    in
-    let tel = Sep_distributed.Net.telemetry net in
-    let h = Sep_obs.Telemetry.histogram tel "net.latency.steps" in
-    let s = Sep_distributed.Net.link_stats net in
-    Json.Obj
-      [
-        ("topology", Json.String "snfe");
-        ("steps", Json.Int steps);
-        ("seconds", Json.Float secs);
-        ("words", Json.Int (Sep_obs.Telemetry.count h));
-        ("p50", Json.Float (Sep_obs.Telemetry.p50 h));
-        ("p95", Json.Float (Sep_obs.Telemetry.p95 h));
-        ("p99", Json.Float (Sep_obs.Telemetry.p99 h));
-        ("max", Json.Float (Sep_obs.Telemetry.hist_max h));
-        ( "retransmit_queue",
-          Json.Float
-            (Sep_obs.Telemetry.gauge_value
-               (Sep_obs.Telemetry.gauge tel "net.retransmit_queue")) );
-        ("retransmits", Json.Int s.Sep_distributed.Net.ls_retransmits);
-        ("acks", Json.Int s.Sep_distributed.Net.ls_acks);
-      ]
-  in
-  let federation =
-    let runs =
-      List.map
-        (fun m ->
-          Json.Obj
-            [
-              ("label", Json.String m.fm_label);
-              ("workload", Json.String (if m.fm_faulty then "node-faults" else "clean"));
-              ("steps", Json.Int m.fm_steps);
-              ("seconds", Json.Float m.fm_seconds);
-              ("delivered", Json.Int m.fm_delivered);
-              ("words_per_sec", Json.Float m.fm_words_per_sec);
-              ("latency_p50", Json.Float m.fm_p50);
-              ("latency_p95", Json.Float m.fm_p95);
-              ("latency_p99", Json.Float m.fm_p99);
-              ("node_events", Json.Int m.fm_events);
-              ("recoveries", Json.Int m.fm_recoveries);
-              ("monitor_clean", Json.Bool (not m.fm_violating));
-            ])
-        (federation_measures ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let services =
-    let runs =
-      List.map
-        (fun m ->
-          Json.Obj
-            [
-              ("label", Json.String m.sm_label);
-              ("workload", Json.String (if m.sm_faulty then "node-faults" else "clean"));
-              ("steps", Json.Int m.sm_steps);
-              ("seconds", Json.Float m.sm_seconds);
-              ("requests", Json.Int m.sm_requests);
-              ("committed", Json.Int m.sm_committed);
-              ("requests_per_sec", Json.Float m.sm_requests_per_sec);
-              ("retries", Json.Int m.sm_retries);
-              ("dedup_hits", Json.Int m.sm_dedup_hits);
-              ("shed", Json.Int m.sm_shed);
-              ("rtt_p50", Json.Float m.sm_rtt_p50);
-              ("rtt_p95", Json.Float m.sm_rtt_p95);
-              ("contract_ok", Json.Bool m.sm_contract_ok);
-              ("monitor_clean", Json.Bool (not m.sm_violating));
-            ])
-        (service_measures ())
-    in
-    Json.Obj [ ("runs", Json.List runs) ]
-  in
-  let refinement =
-    let module Stack = Sep_refine.Stack in
-    let scen, checks, secs, diverged, kills, kill_secs = refinement_measure () in
-    let killed = List.length (List.filter (fun k -> k.Stack.k_killed) kills) in
-    Json.Obj
-      [
-        ("seed", Json.Int 42);
-        ("scenario_runs", Json.Int (List.length scen));
-        ("divergences", Json.Int (List.length diverged));
-        ("checks", Json.Int checks);
-        ("seconds", Json.Float secs);
-        ( "checks_per_sec",
-          Json.Float (if secs > 0.0 then float_of_int checks /. secs else 0.0) );
-        ("bugs", Json.Int (List.length kills));
-        ("killed", Json.Int killed);
-        ("kill_seconds", Json.Float kill_secs);
-        ("kills", Json.List (List.map Stack.kill_to_json kills));
-      ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.String "rushby-bench/9");
-      ("generated_at_unix", Json.Float (Unix.time ()));
-      ("ocaml_version", Json.String Sys.ocaml_version);
-      ("experiments", Json.List check_experiments);
-      ("kernel_runs", Json.List kernel_runs);
-      ("fault_campaign", fault_campaign);
-      ("fuzz", fuzz);
-      ("recovery", recovery);
-      ("speedup", speedup);
-      ("monitor", monitor);
-      ("latency", latency);
-      ("federation", federation);
-      ("services", services);
-      ("refinement", refinement);
-      ("spans", Sep_obs.Span.to_json ());
-    ]
-
-let validate_snapshot json =
-  let fail msg = Error msg in
-  let require_obj name v = match v with Some (Json.Obj _ as o) -> Ok o | _ -> fail ("missing object " ^ name) in
-  let require_list name v = match v with Some (Json.List l) -> Ok l | _ -> fail ("missing list " ^ name) in
-  match Json.member "schema" json with
-  | Some (Json.String (("rushby-bench/8" | "rushby-bench/9") as schema)) -> (
-    match require_list "experiments" (Json.member "experiments" json) with
-    | Error e -> fail e
-    | Ok experiments -> (
-      match require_list "kernel_runs" (Json.member "kernel_runs" json) with
-      | Error e -> fail e
-      | Ok runs -> (
-        match
-          Result.bind (require_obj "spans" (Json.member "spans" json)) (fun _ ->
-              require_obj "fault_campaign" (Json.member "fault_campaign" json))
-        with
-        | Error e -> fail e
-        | Ok campaign when
-            List.exists
-              (fun k -> Json.member k campaign = None)
-              [ "cases"; "masked"; "detected_safe"; "violating"; "holds"; "distributed" ] ->
-          fail "malformed fault_campaign entry"
-        | Ok _ -> (
-          match require_obj "recovery" (Json.member "recovery" json) with
-          | Error e -> fail e
-          | Ok recovery when
-              List.exists
-                (fun k -> Json.member k recovery = None)
-                [ "cases"; "masked"; "detected_safe"; "recovered_safe"; "violating"; "holds";
-                  "reliable_net" ] ->
-            fail "malformed recovery entry"
-          | Ok _ -> (
-          match require_obj "speedup" (Json.member "speedup" json) with
-          | Error e -> fail e
-          | Ok speedup when
-              List.exists
-                (fun k -> Json.member k speedup = None)
-                [ "jobs"; "seconds_j1"; "seconds_jn"; "speedup"; "deterministic" ] ->
-            fail "malformed speedup entry"
-          | Ok _ -> (
-          match
-            Result.bind (require_obj "monitor" (Json.member "monitor" json)) (fun m ->
-                require_list "monitor.runs" (Json.member "runs" m))
-          with
-          | Error e -> fail e
-          | Ok monitor_runs -> (
-          match
-            Result.bind (require_obj "federation" (Json.member "federation" json)) (fun f ->
-                require_list "federation.runs" (Json.member "runs" f))
-          with
-          | Error e -> fail e
-          | Ok federation_runs -> (
-          (* the services section arrived with rushby-bench/9; older
-             snapshots stay valid without it *)
-          match
-            if schema = "rushby-bench/8" then Ok []
-            else
-              Result.bind (require_obj "services" (Json.member "services" json)) (fun s ->
-                  require_list "services.runs" (Json.member "runs" s))
-          with
-          | Error e -> fail e
-          | Ok services_runs -> (
-          match require_obj "latency" (Json.member "latency" json) with
-          | Error e -> fail e
-          | Ok latency when
-              List.exists
-                (fun k -> Json.member k latency = None)
-                [ "steps"; "words"; "p50"; "p95"; "p99"; "retransmit_queue" ] ->
-            fail "malformed latency entry"
-          | Ok _ -> (
-          match require_obj "fuzz" (Json.member "fuzz" json) with
-          | Error e -> fail e
-          | Ok fuzz -> (
-            match
-              Result.bind (require_list "fuzz.scenarios" (Json.member "scenarios" fuzz)) (fun ss ->
-                  Result.map (fun ks -> (ss, ks))
-                    (require_list "fuzz.kills" (Json.member "kills" fuzz)))
-            with
-            | Error e -> fail e
-            | Ok (fuzz_scenarios, fuzz_kills) -> (
-              match require_obj "refinement" (Json.member "refinement" json) with
-              | Error e -> fail e
-              | Ok refinement when
-                  List.exists
-                    (fun k -> Json.member k refinement = None)
-                    [ "scenario_runs"; "divergences"; "checks"; "checks_per_sec"; "bugs";
-                      "killed"; "kills" ] ->
-                fail "malformed refinement entry"
-              | Ok refinement ->
-              let refinement_kills =
-                match Json.member "kills" refinement with Some (Json.List l) -> l | _ -> []
-              in
-              let refinement_kill_ok k =
-                List.for_all
-                  (fun key -> Json.member key k <> None)
-                  [ "bug"; "level"; "killed"; "seed"; "scenario"; "step"; "original_size";
-                    "shrunk_size" ]
-              in
-              let exp_ok e =
-                List.for_all
-                  (fun k -> Json.member k e <> None)
-                  [ "label"; "states"; "checks"; "verified"; "seconds"; "checks_per_sec" ]
-              in
-              let run_ok r =
-                List.for_all (fun k -> Json.member k r <> None)
-                  [ "label"; "impl"; "steps"; "seconds"; "steps_per_sec"; "counters" ]
-                && (match Json.member "counters" r with
-                   | Some c -> Json.member "counters" c <> None
-                   | None -> false)
-              in
-              let monitor_ok m =
-                List.for_all
-                  (fun k -> Json.member k m <> None)
-                  [ "label"; "steps"; "period"; "seconds_bare"; "seconds_watched";
-                    "steps_per_sec_bare"; "steps_per_sec_watched"; "overhead_frac"; "deep_checks";
-                    "clean" ]
-              in
-              let fuzz_scenario_ok s =
-                List.for_all
-                  (fun k -> Json.member k s <> None)
-                  [ "label"; "execs"; "corpus"; "coverage_keys"; "failures"; "seconds" ]
-              in
-              let fuzz_kill_ok k =
-                List.for_all
-                  (fun key -> Json.member key k <> None)
-                  [ "bug"; "scenario"; "strategy"; "detected"; "condition"; "execs"; "seconds" ]
-              in
-              let federation_ok f =
-                List.for_all
-                  (fun k -> Json.member k f <> None)
-                  [ "label"; "workload"; "steps"; "seconds"; "delivered"; "words_per_sec";
-                    "latency_p50"; "latency_p95"; "latency_p99"; "node_events"; "recoveries";
-                    "monitor_clean" ]
-              in
-              let service_ok s =
-                List.for_all
-                  (fun k -> Json.member k s <> None)
-                  [ "label"; "workload"; "steps"; "seconds"; "requests"; "committed";
-                    "requests_per_sec"; "retries"; "dedup_hits"; "shed"; "rtt_p50"; "rtt_p95";
-                    "contract_ok"; "monitor_clean" ]
-              in
-              if not (List.for_all exp_ok experiments) then fail "malformed experiment entry"
-              else if not (List.for_all run_ok runs) then fail "malformed kernel_run entry"
-              else if not (List.for_all monitor_ok monitor_runs) then
-                fail "malformed monitor entry"
-              else if not (List.for_all federation_ok federation_runs) then
-                fail "malformed federation entry"
-              else if not (List.for_all service_ok services_runs) then
-                fail "malformed services entry"
-              else if not (List.for_all fuzz_scenario_ok fuzz_scenarios) then
-                fail "malformed fuzz scenario entry"
-              else if not (List.for_all fuzz_kill_ok fuzz_kills) then fail "malformed fuzz kill entry"
-              else if not (List.for_all refinement_kill_ok refinement_kills) then
-                fail "malformed refinement kill entry"
-              else if
-                experiments = [] || runs = [] || monitor_runs = [] || federation_runs = []
-                || fuzz_scenarios = [] || fuzz_kills = [] || refinement_kills = []
-                || (schema = "rushby-bench/9" && services_runs = [])
-              then fail "empty snapshot"
-              else Ok (List.length experiments, List.length runs)))))))))))))
-  | _ -> fail "missing or unexpected schema tag"
-
-let snapshot_main args =
-  let check_only = ref false in
-  let out = ref "BENCH_PR9.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--check" :: rest ->
-      check_only := true;
-      parse rest
-    | "--out" :: f :: rest ->
-      out := f;
-      parse rest
-    | "--out" :: [] -> Error "--out requires a file name"
-    | a :: _ -> Error (Fmt.str "unknown argument %S (expected --check or --out FILE)" a)
-  in
-  match parse args with
-  | Error e ->
-    Fmt.epr "snapshot: %s@." e;
-    2
-  | Ok () ->
-  let check_only = !check_only and out = !out in
-  let json = snapshot_json () in
-  (* round-trip through the writer and reader, then validate the shape *)
-  match Json.parse (Json.to_string json) with
-  | Error e ->
-    Fmt.epr "snapshot: writer produced unparseable JSON: %s@." e;
-    1
-  | Ok parsed -> (
-    match validate_snapshot parsed with
-    | Error e ->
-      Fmt.epr "snapshot: invalid shape: %s@." e;
-      1
-    | Ok (nexp, nruns) ->
-      if check_only then begin
-        Fmt.pr "snapshot --check: ok (%d experiments, %d kernel runs; nothing written)@." nexp nruns;
-        0
-      end
-      else begin
-        let oc = open_out out in
-        output_string oc (Json.to_string json);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "wrote %s (%d experiments, %d kernel runs)@." out nexp nruns;
-        0
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* compare: the regression gate.  Two snapshots in, a table and an exit
-   code out: any shared throughput metric (checks/s or steps/s) that
-   dropped by more than the tolerance fails the gate.  Only metrics
-   present in BOTH files are compared, so adding or removing a scenario
-   between PRs never trips the gate by itself. *)
-
-let compare_tolerance = 0.20
-
-let num = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-(* label -> throughput, flattened from the sections that carry a rate *)
-let rates json =
-  let out = ref [] in
-  let add key v = match num v with Some f -> out := (key, f) :: !out | None -> () in
-  let str j = match j with Some (Json.String s) -> Some s | _ -> None in
-  let each section f =
-    match Json.member section json with
-    | Some (Json.List items) -> List.iter f items
-    | _ -> ()
-  in
-  each "experiments" (fun e ->
-      match (str (Json.member "label" e), Json.member "checks_per_sec" e) with
-      | Some label, Some v -> add (Fmt.str "experiments.%s.checks_per_sec" label) v
-      | _ -> ());
-  each "kernel_runs" (fun r ->
-      match
-        (str (Json.member "label" r), str (Json.member "impl" r), Json.member "steps_per_sec" r)
-      with
-      | Some label, Some impl, Some v ->
-        add (Fmt.str "kernel_runs.%s:%s.steps_per_sec" label impl) v
-      | _ -> ());
-  (match Json.member "monitor" json with
-  | Some m ->
-    (match Json.member "runs" m with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match (str (Json.member "label" r), Json.member "steps_per_sec_watched" r) with
-          | Some label, Some v -> add (Fmt.str "monitor.%s.steps_per_sec_watched" label) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  (match Json.member "refinement" json with
-  | Some r -> (
-    match Json.member "checks_per_sec" r with
-    | Some v -> add "refinement.checks_per_sec" v
-    | None -> ())
-  | None -> ());
-  (match Json.member "federation" json with
-  | Some f ->
-    (match Json.member "runs" f with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match
-            (str (Json.member "label" r), str (Json.member "workload" r),
-             Json.member "words_per_sec" r)
-          with
-          | Some label, Some workload, Some v ->
-            add (Fmt.str "federation.%s:%s.words_per_sec" label workload) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  (match Json.member "services" json with
-  | Some s ->
-    (match Json.member "runs" s with
-    | Some (Json.List runs) ->
-      List.iter
-        (fun r ->
-          match
-            (str (Json.member "label" r), str (Json.member "workload" r),
-             Json.member "requests_per_sec" r)
-          with
-          | Some label, Some workload, Some v ->
-            add (Fmt.str "services.%s:%s.requests_per_sec" label workload) v
-          | _ -> ())
-        runs
-    | _ -> ())
-  | None -> ());
-  List.rev !out
-
-let load_snapshot file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match Json.parse text with
-    | Error e -> Error (Fmt.str "%s: %s" file e)
-    | Ok json -> Ok json)
-
-let compare_main args =
-  match args with
-  | [ old_file; new_file ] -> (
-    match (load_snapshot old_file, load_snapshot new_file) with
-    | Error e, _ | _, Error e ->
-      Fmt.epr "compare: %s@." e;
-      2
-    | Ok old_json, Ok new_json ->
-      let old_rates = rates old_json and new_rates = rates new_json in
-      let shared =
-        List.filter_map
-          (fun (key, ov) ->
-            match List.assoc_opt key new_rates with
-            | Some nv -> Some (key, ov, nv)
-            | None -> None)
-          old_rates
-      in
-      if shared = [] then begin
-        Fmt.epr "compare: no shared throughput metrics between %s and %s@." old_file new_file;
-        2
-      end
-      else begin
-        let regressions = ref 0 in
-        Fmt.pr "%-56s %12s %12s %8s@." "metric" "old" "new" "delta";
-        List.iter
-          (fun (key, ov, nv) ->
-            let delta = if ov > 0.0 then (nv -. ov) /. ov else 0.0 in
-            let regressed = delta < -.compare_tolerance in
-            if regressed then incr regressions;
-            Fmt.pr "%-56s %12.0f %12.0f %7.1f%%%s@." key ov nv (100.0 *. delta)
-              (if regressed then "  REGRESSION" else ""))
-          shared;
-        if !regressions > 0 then begin
-          Fmt.pr "@.compare: FAIL — %d metric(s) regressed more than %.0f%%@." !regressions
-            (100.0 *. compare_tolerance);
-          1
-        end
-        else begin
-          Fmt.pr "@.compare: ok — %d shared metric(s) within %.0f%% tolerance@."
-            (List.length shared)
-            (100.0 *. compare_tolerance);
-          0
-        end
-      end)
-  | _ ->
-    Fmt.epr "usage: compare OLD.json NEW.json@.";
-    2
-
 let experiments =
   [
     ("e1", e1);
@@ -1935,12 +1245,8 @@ let experiments =
   ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "snapshot" :: rest -> exit (snapshot_main rest)
-  | _ :: "compare" :: rest -> exit (compare_main rest)
-  | argv ->
   let requested =
-    match argv with
+    match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in

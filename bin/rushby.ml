@@ -66,16 +66,14 @@ let trace_json_arg =
        & info [ "trace-json" ] ~docv:"FILE"
            ~doc:"Also write a machine-readable JSONL record of the run to $(docv).")
 
-(* the deterministic drip of external input used by trace/stats runs *)
-let drip_inputs scenario =
-  let alphabet = Array.of_list scenario.Sep_core.Scenarios.alphabet in
-  fun n ->
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
-
 (* a bad --trace-json/--json path is a usage problem, not an internal error *)
 let graceful_write f = try f () with Sys_error msg -> Fmt.epr "rushby: %s@." msg; exit 1
+
+(* a --json report: [emit_all] hands every line to one Sep_obs.Sink *)
+let write_jsonl file emit_all =
+  graceful_write (fun () ->
+      Sep_obs.Sink.with_file file (fun sink -> emit_all (Sep_obs.Sink.emit sink)));
+  Fmt.pr "wrote %s@." file
 
 let emit_json_record file ~kernel_counters report =
   graceful_write @@ fun () ->
@@ -418,7 +416,7 @@ let write_chrome file =
 let trace_run scenario bugs steps impl trace_json chrome =
   if chrome <> None then Sep_obs.Trace.set_enabled true;
   let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
-  let inputs = drip_inputs scenario in
+  let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
   let entries = Sep_core.Ktrace.record t ~steps ~inputs in
   print_string (Sep_core.Ktrace.render entries);
   (match trace_json with
@@ -454,7 +452,7 @@ let monitor_smoke impl corpus_dir =
   let ok = ref true in
   List.iter
     (fun (sc : Sep_core.Scenarios.instance) ->
-      let sched = List.init 12 (drip_inputs sc) in
+      let sched = List.init 12 (Sep_core.Scenarios.drip sc.Sep_core.Scenarios.alphabet) in
       let offline =
         F.check_schedule ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
           sc.Sep_core.Scenarios.cfg sched
@@ -527,7 +525,7 @@ let monitor_run scenario bugs impl seed scrambles steps smoke corpus chrome =
   if smoke then monitor_smoke impl corpus
   else begin
     if chrome <> None then Sep_obs.Trace.set_enabled true;
-    let sched = List.init steps (drip_inputs scenario) in
+    let sched = List.init steps (Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet) in
     let online =
       Sep_check.Fuzz.check_schedule_online ~bugs ~impl ~scrambles ~seed
         ~alphabet:scenario.Sep_core.Scenarios.alphabet scenario.Sep_core.Scenarios.cfg sched
@@ -587,7 +585,7 @@ let pp_link_stats ppf (s : Sep_distributed.Net.link_stats) =
 let stats_run scenario bugs seed jobs steps impl json_file =
   Sep_obs.Span.set_enabled true;
   let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
-  let inputs = drip_inputs scenario in
+  let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
   for n = 0 to steps - 1 do
     ignore (Sep_core.Sue.step t (inputs n))
   done;
@@ -692,16 +690,8 @@ let inject_run seed jobs steps count smoke json_file =
   Fmt.pr "== fault-injection campaign: seed %d, %d steps, %d faults/scenario ==@." seed steps count;
   List.iter
     (fun (sr : C.scenario_report) ->
-      let m, d, v =
-        List.fold_left
-          (fun (m, d, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, v)
-            | C.Detected_safe -> (m, d + 1, v)
-            | C.Recovered_safe -> (m, d, v)  (* never produced without a supervisor *)
-            | C.Violating -> (m, d, v + 1))
-          (0, 0, 0) sr.C.cases
-      in
+      (* no supervisor, so nothing is ever recovered-safe *)
+      let m, d, _, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
       Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d violating%s@." sr.C.label m d v
         (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
       List.iter
@@ -720,15 +710,9 @@ let inject_run seed jobs steps count smoke json_file =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    output_string oc (C.report_to_jsonl report);
-    let buf = Buffer.create 256 in
-    Sep_util.Json.to_buffer buf (C.dist_to_json dist);
-    Buffer.add_char buf '\n';
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+    write_jsonl file @@ fun line ->
+    List.iter line (C.report_lines report);
+    line (C.dist_to_json dist));
   if ok then 0 else 1
 
 let inject_cmd =
@@ -759,16 +743,7 @@ let recover_run seed jobs steps count smoke drop json_file =
     seed steps count;
   List.iter
     (fun (sr : C.scenario_report) ->
-      let m, d, r, v =
-        List.fold_left
-          (fun (m, d, r, v) (c : C.case) ->
-            match c.C.outcome with
-            | C.Masked -> (m + 1, d, r, v)
-            | C.Detected_safe -> (m, d + 1, r, v)
-            | C.Recovered_safe -> (m, d, r + 1, v)
-            | C.Violating -> (m, d, r, v + 1))
-          (0, 0, 0, 0) sr.C.cases
-      in
+      let m, d, r, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
       Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d recovered-safe  %3d violating%s@."
         sr.C.label m d r v
         (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
@@ -806,15 +781,8 @@ let recover_run seed jobs steps count smoke drop json_file =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    output_string oc (C.report_to_jsonl report);
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
+    write_jsonl file @@ fun line ->
+    List.iter line (C.report_lines report);
     List.iteri
       (fun i (rc : Sep_check.Diff.reliable_case) ->
         line
@@ -840,9 +808,7 @@ let recover_run seed jobs steps count smoke drop json_file =
            ("recovered_safe", Sep_util.Json.Int recovered);
            ("violating", Sep_util.Json.Int violating);
            ("ok", Sep_util.Json.Bool ok);
-         ]);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+         ]));
   if ok then 0 else 1
 
 let recover_cmd =
@@ -926,14 +892,7 @@ let federate_run seed jobs steps count smoke chaos json_file =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
+    write_jsonl file @@ fun line ->
     List.iter
       (fun ((spec : F.spec), (ob : F.observation), mism) ->
         line
@@ -952,9 +911,7 @@ let federate_run seed jobs steps count smoke chaos json_file =
                  Sep_util.Json.List (List.map (fun (_, _, m) -> Sep_util.Json.String m) mism) );
              ]))
       clean;
-    List.iter (fun r -> output_string oc (FC.report_to_jsonl r)) reports;
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+    List.iter (fun r -> List.iter line (FC.report_lines r)) reports);
   if ok then 0 else 1
 
 let federate_cmd =
@@ -1039,11 +996,8 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    List.iter (fun r -> output_string oc (SC.report_to_jsonl r)) reports;
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+    write_jsonl file @@ fun line ->
+    List.iter (fun r -> List.iter line (SC.report_lines r)) reports);
   (match chrome with None -> () | Some file -> write_chrome file);
   if ok then 0 else 1
 
@@ -1102,12 +1056,8 @@ let fuzz_corpus_emit dir seed impl =
           Fmt.epr "rushby: %s@." msg
         | Ok () ->
           let file = Filename.concat dir (Fmt.str "%a.json" Sep_core.Sue.pp_bug e.bug) in
-          let buf = Buffer.create 256 in
-          Sep_util.Json.to_buffer buf (Sep_check.Score.corpus_case_to_json c);
-          Buffer.add_char buf '\n';
-          let oc = open_out file in
-          output_string oc (Buffer.contents buf);
-          close_out oc;
+          Sep_obs.Sink.with_file file (fun sink ->
+              Sep_obs.Sink.emit sink (Sep_check.Score.corpus_case_to_json c));
           Fmt.pr "wrote %s (condition %d, %d-step schedule)@." file c.Sep_check.Score.cc_condition
             (List.length c.Sep_check.Score.cc_schedule)))
     Sep_core.Mutants.catalogue;
@@ -1187,15 +1137,8 @@ let fuzz_full smoke seed jobs budget impl json_file =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    List.iter (fun r -> output_string oc (Sep_check.Fuzz.scenario_result_to_jsonl r)) results;
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
+    write_jsonl file @@ fun line ->
+    List.iter (fun r -> List.iter line (Sep_check.Fuzz.scenario_result_lines r)) results;
     List.iter
       (fun k ->
         match Sep_check.Score.kill_to_json k with
@@ -1218,9 +1161,7 @@ let fuzz_full smoke seed jobs budget impl json_file =
                   0 results) );
            ("kills", Sep_util.Json.Int (List.length kills));
            ("ok", Sep_util.Json.Bool ok);
-         ]);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+         ]));
   if ok then 0 else 1
 
 (* replay one checked-in test/corpus case: the fixed kernel must verify
@@ -1378,14 +1319,7 @@ let refine_full smoke seed jobs json_file =
   (match json_file with
   | None -> ()
   | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    let line j =
-      let buf = Buffer.create 256 in
-      Sep_util.Json.to_buffer buf j;
-      Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf)
-    in
+    write_jsonl file @@ fun line ->
     let open Sep_util.Json in
     line
       (Obj
@@ -1425,9 +1359,7 @@ let refine_full smoke seed jobs json_file =
            ("kills", Int (List.length killed));
            ("bugs", Int (List.length kills));
            ("ok", Bool ok);
-         ]);
-    close_out oc;
-    Fmt.pr "wrote %s@." file);
+         ]));
   if ok then 0 else 1
 
 let refine_run smoke seed jobs json_file replay bug =

@@ -159,10 +159,6 @@ let run_once ?(bugs = []) ?(impl = Sue.Microcode) ~scrambles ~settle ~seed cfg s
   done;
   (t, List.rev !states, List.concat (List.rev !events))
 
-let states_of_schedule ?bugs ?impl ?(scrambles = 2) ?(settle = 24) ~seed cfg sched =
-  let _, states, _ = run_once ?bugs ?impl ~scrambles ~settle ~seed cfg sched in
-  states
-
 let execute ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24) ~seed ~alphabet cfg
     sched =
   let t, states, events = run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched in
@@ -544,34 +540,30 @@ let fuzz_recovery ?policy ?jobs ~seed ~budget (sc : Scenarios.instance) =
     rv_failures = List.rev !failures;
   }
 
-let scenario_result_to_jsonl r =
-  let buf = Buffer.create 1024 in
-  let line j =
-    J.to_buffer buf j;
-    Buffer.add_char buf '\n'
-  in
-  List.iter
+let scenario_result_lines r =
+  List.map
     (fun e ->
-      line
-        (J.Obj
-           [
-             ("kind", J.String "fuzz-corpus");
-             ("scenario", J.String r.sr_label);
-             ("id", J.Int e.en_id);
-             ("new_keys", J.List (List.map (fun k -> J.String k) e.en_new_keys));
-             ("schedule", schedule_to_json e.en_input);
-           ]))
-    r.sr_campaign.cp_entries;
-  line
-    (J.Obj
-       [
-         ("kind", J.String "fuzz-scenario");
-         ("scenario", J.String r.sr_label);
-         ("seed", J.Int r.sr_seed);
-         ("budget", J.Int r.sr_campaign.cp_budget);
-         ("execs", J.Int r.sr_campaign.cp_execs);
-         ("corpus", J.Int (List.length r.sr_campaign.cp_entries));
-         ("keys", J.Int (List.length r.sr_campaign.cp_keys));
-         ("failures", J.Int (List.length r.sr_failures));
-       ]);
-  Buffer.contents buf
+      J.Obj
+        [
+          ("kind", J.String "fuzz-corpus");
+          ("scenario", J.String r.sr_label);
+          ("id", J.Int e.en_id);
+          ("new_keys", J.List (List.map (fun k -> J.String k) e.en_new_keys));
+          ("schedule", schedule_to_json e.en_input);
+        ])
+    r.sr_campaign.cp_entries
+  @ [
+      J.Obj
+        [
+          ("kind", J.String "fuzz-scenario");
+          ("scenario", J.String r.sr_label);
+          ("seed", J.Int r.sr_seed);
+          ("budget", J.Int r.sr_campaign.cp_budget);
+          ("execs", J.Int r.sr_campaign.cp_execs);
+          ("corpus", J.Int (List.length r.sr_campaign.cp_entries));
+          ("keys", J.Int (List.length r.sr_campaign.cp_keys));
+          ("failures", J.Int (List.length r.sr_failures));
+        ];
+    ]
+
+let scenario_result_to_jsonl r = Sep_obs.Sink.jsonl (scenario_result_lines r)

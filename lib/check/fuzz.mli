@@ -34,14 +34,6 @@ type exec = {
   ex_report : Separability.report;  (** the six conditions over the sampled states *)
 }
 
-val states_of_schedule :
-  ?bugs:Sue.bug list -> ?impl:Sue.impl -> ?scrambles:int -> ?settle:int -> seed:int ->
-  Isa.stmt list Config.t -> schedule -> Sue.t list
-(** The state sample of one schedule-driven run: a snapshot after every
-    step (including [settle], default 24, trailing empty-input steps),
-    each paired per colour with [scrambles] (default 2) scrambled
-    Phi-partners drawn from a generator seeded by [seed]. *)
-
 val execute :
   ?bugs:Sue.bug list -> ?impl:Sue.impl -> ?scrambles:int -> ?settle:int -> seed:int ->
   alphabet:Sue.input list -> Isa.stmt list Config.t -> schedule -> exec
@@ -144,9 +136,12 @@ val fuzz_scenario :
     up to [jobs] domains; the result is bit-identical for any job
     count. *)
 
-val scenario_result_to_jsonl : scenario_result -> string
+val scenario_result_lines : scenario_result -> Sep_util.Json.t list
 (** One [fuzz-corpus] line per corpus entry, then one [fuzz-scenario]
     summary line. Deterministic for a fixed seed. *)
+
+val scenario_result_to_jsonl : scenario_result -> string
+(** {!scenario_result_lines} as JSON Lines text. *)
 
 (** {1 Crash-restart exploration}
 

@@ -338,14 +338,6 @@ let schedule ~alphabet ~max_len rng =
   let n = Prng.int rng (max_len + 1) in
   List.init n (fun _ -> if Array.length arr = 0 then [] else Prng.choose rng arr)
 
-let fault_plans ~steps ~count cfg rng =
-  let seed = Int64.to_int (Prng.bits64 rng) land 0x3fffffff in
-  Sep_robust.Fault_plan.generate ~seed ~steps ~count cfg
-
-let recovery_plans ?(faults_per_plan = 3) ~steps ~count cfg rng =
-  let seed = Int64.to_int (Prng.bits64 rng) land 0x3fffffff in
-  Sep_robust.Fault_plan.generate_multi ~seed ~steps ~count ~faults_per_plan cfg
-
 let soak_plans ~nodes ~steps ~count cfg rng =
   let seed = Int64.to_int (Prng.bits64 rng) land 0x3fffffff in
   Sep_robust.Fault_plan.soak ~nodes ~seed ~steps ~count cfg

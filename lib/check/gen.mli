@@ -131,17 +131,6 @@ val rx_alphabet : 'p Config.t -> Sue.input list
 val schedule : alphabet:Sue.input list -> max_len:int -> Sue.input list t
 (** An input schedule: one alphabet element per step. *)
 
-val fault_plans : steps:int -> count:int -> 'p Config.t -> Sep_robust.Fault_plan.t list t
-(** Seeded fault plans via {!Sep_robust.Fault_plan.generate}, the seed
-    drawn from the generator state. *)
-
-val recovery_plans :
-  ?faults_per_plan:int -> steps:int -> count:int -> 'p Config.t -> Sep_robust.Fault_plan.t list t
-(** Multi-fault stress plans via {!Sep_robust.Fault_plan.generate_multi}
-    (default 3 faults per plan) — the schedules that park several regimes
-    at once and force the recovery paths, the seed drawn from the
-    generator state. *)
-
 val soak_plans :
   nodes:Sep_robust.Fault_plan.node_space ->
   steps:int -> count:int -> 'p Config.t -> Sep_robust.Fault_plan.t list t

@@ -1,5 +1,4 @@
 module Prng = Sep_util.Prng
-module J = Sep_util.Json
 
 type budget = {
   max_runs : int;
@@ -66,24 +65,3 @@ let check ?budget ?shrink ?(pp = fun ppf _ -> Fmt.string ppf "<value>") ~name ~s
     failwith
       (Fmt.str "property %s failed (seed %d, run %d, %d shrink steps): %s@.minimized: %a" name
          cx.cx_seed cx.cx_run cx.cx_shrink_steps cx.cx_message pp cx.cx_minimized)
-
-let counterexample_to_json ~to_json ~name cx =
-  J.Obj
-    [
-      ("kind", J.String "counterexample");
-      ("property", J.String name);
-      ("seed", J.Int cx.cx_seed);
-      ("run", J.Int cx.cx_run);
-      ("shrink_steps", J.Int cx.cx_shrink_steps);
-      ("message", J.String cx.cx_message);
-      ("original", to_json cx.cx_original);
-      ("minimized", to_json cx.cx_minimized);
-    ]
-
-let persist ~file ~to_json ~name cx =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string (counterexample_to_json ~to_json ~name cx));
-      output_char oc '\n')

@@ -1,4 +1,4 @@
-(** The property runner: seeded replay, shrinking, budgets, persistence.
+(** The property runner: seeded replay, shrinking, budgets.
 
     [run] draws values from a generator, applies the property, and on the
     first failure minimizes the counterexample with the supplied shrinker.
@@ -42,12 +42,3 @@ val check :
 (** Test-harness entry: raises [Failure] with the minimized
     counterexample, its message and the replay seed when the property
     fails; returns unit when it holds. *)
-
-val counterexample_to_json :
-  to_json:('a -> Sep_util.Json.t) -> name:string -> 'a counterexample -> Sep_util.Json.t
-(** [{"kind": "counterexample", "property", "seed", "run",
-    "shrink_steps", "message", "original", "minimized"}] — one JSONL line
-    for counterexample persistence. *)
-
-val persist : file:string -> to_json:('a -> Sep_util.Json.t) -> name:string -> 'a counterexample -> unit
-(** Append the JSONL line to [file] (created when missing). *)

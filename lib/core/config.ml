@@ -74,9 +74,3 @@ let regime_index t c =
     | r :: rest -> if Colour.equal r.colour c then i else find (i + 1) rest
   in
   find 0 t.regimes
-
-let map_programs f t =
-  { t with regimes = List.map (fun r -> { r with program = f r.program }) t.regimes }
-
-let channels_from t c = List.filter (fun ch -> Colour.equal ch.sender c) t.channels
-let channels_to t c = List.filter (fun ch -> Colour.equal ch.receiver c) t.channels

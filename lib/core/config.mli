@@ -65,10 +65,3 @@ val colours : 'prog t -> Sep_model.Colour.t list
 
 val regime_index : 'prog t -> Sep_model.Colour.t -> int
 (** Position of a colour's regime. Raises [Not_found]. *)
-
-val map_programs : ('prog -> 'q) -> 'prog t -> 'q t
-(** Reinterpret the same topology with different program bodies — e.g. the
-    behavioural and machine-level renderings of one design. *)
-
-val channels_from : 'prog t -> Sep_model.Colour.t -> channel list
-val channels_to : 'prog t -> Sep_model.Colour.t -> channel list

@@ -186,14 +186,7 @@ let entry_to_json e =
   let module J = Sep_util.Json in
   J.Obj [ ("step", J.Int e.step); ("events", J.List (List.map event_to_json e.events)) ]
 
-let to_json entries =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun e ->
-      Sep_util.Json.to_buffer buf (entry_to_json e);
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.contents buf
+let to_json entries = Sep_obs.Sink.jsonl (List.map entry_to_json entries)
 
 let render entries =
   let buf = Buffer.create 512 in

@@ -37,7 +37,6 @@ let create ?(max_failures = 20) sys =
     reps = 0;
   }
 
-let states_seen t = t.states
 let frontier t = t.reps
 let violations t = List.rev t.viols
 
@@ -188,9 +187,6 @@ let feed ?step t s =
   check_ops t ~step fresh s;
   check_views t ~step fresh s;
   List.rev !fresh
-
-let feed_step t ~step states =
-  List.concat_map (fun s -> feed ~step t s) states
 
 let report t =
   {

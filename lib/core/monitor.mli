@@ -45,13 +45,6 @@ val feed : ?step:int -> ('s, 'i, 'o, 'a, 'p) t -> 's -> Separability.failure lis
     (empty on a clean state). [step] attributes the failures to a
     driver-defined step index (default: the ordinal of the fed state). *)
 
-val feed_step :
-  ('s, 'i, 'o, 'a, 'p) t -> step:int -> 's list -> Separability.failure list
-(** Feed several states attributed to the same step — a stepped kernel
-    plus its scrambled Phi-partners. *)
-
-val states_seen : _ t -> int
-
 val frontier : _ t -> int
 (** Distinct abstractions tracked, summed over colours — the live
     frontier of the view-equivalence search. Also published as the

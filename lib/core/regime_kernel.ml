@@ -196,5 +196,4 @@ let drops t = t.dropped
 
 let chan_count t = Array.length t.chans
 let chan_buffer t id = Fifo.to_list t.chans.(id).buffer
-let pending_externals t c = Fifo.to_list (find t c).pending_external
 let current_colour t = t.regimes.(t.current).colour

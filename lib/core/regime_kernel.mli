@@ -68,8 +68,5 @@ val chan_count : t -> int
 val chan_buffer : t -> int -> Sep_model.Component.message list
 (** Contents of one kernel channel buffer, oldest first. *)
 
-val pending_externals : t -> Sep_model.Colour.t -> Sep_model.Component.message list
-(** Inputs fielded for a colour but not yet delivered, oldest first. *)
-
 val current_colour : t -> Sep_model.Colour.t
 (** The regime holding the processor. *)

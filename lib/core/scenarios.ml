@@ -252,3 +252,8 @@ let scaled ~regimes ~counter_bits =
   { label = Fmt.str "scaled-%dx%db" regimes counter_bits; cfg; alphabet = [ [] ] }
 
 let find label = List.find_opt (fun i -> i.label = label) all
+
+let drip alphabet =
+  let alphabet = Array.of_list alphabet in
+  let n = Array.length alphabet in
+  fun step -> if n > 1 && step mod 10 = 0 then alphabet.((step / 10) mod (n - 1) + 1) else []

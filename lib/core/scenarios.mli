@@ -56,3 +56,9 @@ val scaled : regimes:int -> counter_bits:int -> instance
 val find : string -> instance option
 (** Look an instance up by [label] among {!all} — the CLI and the fuzzing
     engine ({!Sep_check}) address scenarios by name. *)
+
+val drip : Sue.input list -> int -> Sue.input
+(** The deterministic input drip every stepped run shares: [drip
+    alphabet step] is one alphabet element on every 10th step, cycling
+    through the entries after the first (the empty input), and the empty
+    input otherwise — always, for an alphabet of one entry. *)

@@ -34,32 +34,6 @@ let pp_summary ppf r =
          (List.length r.failures)
          (if List.compare_length_with r.failures 1 > 0 then "s" else ""))
 
-(* Sum of the parts: a verification split across several state samples
-   (e.g. before a crash, parked, after the restart) reads as one report. *)
-let merge_reports ?instance reports =
-  let instance =
-    match (instance, reports) with
-    | Some i, _ -> i
-    | None, r :: _ -> r.instance
-    | None, [] -> "(empty)"
-  in
-  let add_cond acc (c, n) =
-    let prev = try List.assoc c acc with Not_found -> 0 in
-    (c, prev + n) :: List.remove_assoc c acc
-  in
-  let cond_checks =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (List.fold_left (fun acc r -> List.fold_left add_cond acc r.cond_checks) [] reports)
-  in
-  {
-    instance;
-    states = List.fold_left (fun acc r -> acc + r.states) 0 reports;
-    checks = List.fold_left (fun acc r -> acc + r.checks) 0 reports;
-    cond_checks;
-    failures = List.concat_map (fun r -> r.failures) reports;
-  }
-
 exception Enough
 
 (* Mutable accumulation shared by one checking run. *)

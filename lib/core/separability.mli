@@ -60,12 +60,6 @@ val report_to_json : report -> Sep_util.Json.t
     "cond_checks": {"1": n, ...}, "verified", "failing_conditions",
     "failures": [{"condition", "colour", "detail"}]}]. *)
 
-val merge_reports : ?instance:string -> report list -> report
-(** Sum of the parts: states, checks and per-condition counts add up,
-    failures concatenate — for a verification split across several state
-    samples (e.g. the phases around a crash and restart). [instance]
-    defaults to the first report's (["(empty)"] for none). *)
-
 (** Checking is profiled through {!Sep_obs.Span} (spans
     [separability.reachable], [separability.cond1_2],
     [separability.cond3_4_5_6], [separability.cond4]) when span profiling

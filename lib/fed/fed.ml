@@ -277,13 +277,6 @@ type t = {
          deep-check counts and any pre-crash violation still surface *)
 }
 
-let drip alphabet =
-  let alphabet = Array.of_list alphabet in
-  fun n ->
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
-
 let global_devices cfg =
   List.concat_map
     (fun r -> List.map (fun k -> (r.Config.colour, k)) r.Config.devices)
@@ -375,7 +368,7 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     ndev;
     device_shard;
     device_colour;
-    inputs = drip spec.fs_alphabet;
+    inputs = Sep_core.Scenarios.drip spec.fs_alphabet;
     queues = Array.init ndev (fun _ -> Queue.create ());
     pending_in = Array.init (List.length spec.fs_cfg.Config.channels) (fun _ -> Queue.create ());
     powered = Array.make nshards true;
@@ -841,9 +834,3 @@ let finish t =
   }
 
 let device_owner_colour t d = t.device_colour.(d)
-
-let monitor_reports t =
-  List.filter_map Fun.id
-    (List.init t.nshards (fun s ->
-         Option.map (fun w -> (s, Monitor.watch_report w)) t.watches.(s)))
-  @ List.map (fun (s, w) -> (s, Monitor.watch_report w)) t.retired_watches

@@ -178,10 +178,6 @@ val take_outputs : t -> (int * int) list
 (** Drain the (device, word) outputs emitted since the last call, oldest
     first. Draining does not affect {!finish}'s per-device transcript. *)
 
-val monitor_reports : t -> (int * Sep_core.Separability.report) list
-(** Per-shard online monitor reports, live watches first, then watches
-    retired at failovers; empty when built without [monitor]. *)
-
 (** {1 Observation} *)
 
 type observation = {

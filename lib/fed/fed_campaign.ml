@@ -77,21 +77,7 @@ let targets_of spec (plan : Fault_plan.t) =
   in
   List.sort_uniq Colour.compare (List.concat_map (fun (_, f) -> of_fault f) plan.Fault_plan.faults)
 
-(* -- Comparison ------------------------------------------------------------- *)
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-let sequences_diverge a b = not (is_prefix a b || is_prefix b a)
-
-let colour_diverged t reference faulty c =
-  List.exists2
-    (fun (d, ref_words) (_, got_words) ->
-      Colour.equal (Fed.device_owner_colour t d) c && sequences_diverge ref_words got_words)
-    reference.Fed.fob_outputs faulty.Fed.fob_outputs
+(* -- Classification --------------------------------------------------------- *)
 
 (* The federation's "did the system notice" evidence: kernel-level
    corruption detections, checksum-rejected frames, and the supervisor
@@ -118,27 +104,25 @@ let classify t spec ~reference ~faulty (plan : Fault_plan.t) =
   let targets = targets_of spec plan in
   let targeted c = List.exists (Colour.equal c) targets in
   let colours = Config.colours spec.Fed.fs_cfg in
-  let others_diverged =
-    List.exists (fun c -> (not (targeted c)) && colour_diverged t reference faulty c) colours
+  let diverged =
+    Campaign.colour_diverged ~owner:(Fed.device_owner_colour t) reference.Fed.fob_outputs
+      faulty.Fed.fob_outputs
   in
+  let others_diverged = List.exists (fun c -> (not (targeted c)) && diverged c) colours in
   let perturbed c =
-    colour_diverged t reference faulty c
-    || List.assoc c faulty.Fed.fob_status <> List.assoc c reference.Fed.fob_status
+    diverged c || List.assoc c faulty.Fed.fob_status <> List.assoc c reference.Fed.fob_status
   in
   let victim_perturbed = List.exists (fun c -> targeted c && perturbed c) colours in
   let parked_at_end =
     List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.Fed.fob_status
   in
-  let outcome : Campaign.outcome =
-    if others_diverged then Violating
-    else if recovered faulty && not parked_at_end then Recovered_safe
-    else if noticed faulty then Detected_safe
-    else Masked
-  in
   {
     fc_plan = plan;
     fc_targets = targets;
-    fc_outcome = outcome;
+    fc_outcome =
+      Campaign.outcome_of ~violating:others_diverged
+        ~recovered:(recovered faulty && not parked_at_end)
+        ~noticed:(noticed faulty);
     fc_victim_perturbed = victim_perturbed;
     fc_detections = List.length faulty.Fed.fob_detections;
     fc_recoveries = List.length faulty.Fed.fob_recoveries;
@@ -210,15 +194,7 @@ let holds r =
 
 let monitor_clean r = List.for_all (fun c -> c.fc_first_violation = None) r.fr_cases
 
-let totals r =
-  List.fold_left
-    (fun (m, d, rc, v) c ->
-      match c.fc_outcome with
-      | Campaign.Masked -> (m + 1, d, rc, v)
-      | Campaign.Detected_safe -> (m, d + 1, rc, v)
-      | Campaign.Recovered_safe -> (m, d, rc + 1, v)
-      | Campaign.Violating -> (m, d, rc, v + 1))
-    (0, 0, 0, 0) r.fr_cases
+let totals r = Campaign.tally (fun c -> c.fc_outcome) r.fr_cases
 
 let case_to_json r c =
   J.Obj
@@ -259,13 +235,5 @@ let summary_json r =
       ("monitor_clean", J.Bool (monitor_clean r));
     ]
 
-let report_to_jsonl r =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun c ->
-      Buffer.add_string buf (J.to_string (case_to_json r c));
-      Buffer.add_char buf '\n')
-    r.fr_cases;
-  Buffer.add_string buf (J.to_string (summary_json r));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let report_lines r = List.map (case_to_json r) r.fr_cases @ [ summary_json r ]
+let report_to_jsonl r = Sep_obs.Sink.jsonl (report_lines r)

@@ -50,6 +50,15 @@ type report = {
 
 val targets_of : Fed.spec -> Fault_plan.t -> Colour.t list
 
+val noticed : Fed.observation -> bool
+(** The federation noticed a fault: a kernel-level corruption detection,
+    a checksum-rejected frame, or the supervisor seeing a node down or
+    quarantined. Injection events and routine heals do not count. *)
+
+val recovered : Fed.observation -> bool
+(** The federation recovered from a fault: a regime restart or warm
+    reboot on some shard, or a node failover or rejoin. *)
+
 val directed : Fed.spec -> steps:int -> Fault_plan.t list
 (** Coverage floor independent of the seed: one crash per shard, one
     partition and one tamper per physical wire, striking at steps/3. *)
@@ -77,8 +86,8 @@ val monitor_clean : report -> bool
 val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating). *)
 
-val case_to_json : report -> case -> Sep_util.Json.t
-val summary_json : report -> Sep_util.Json.t
+val report_lines : report -> Sep_util.Json.t list
+(** One ["fed-case"] line per case, then one ["fed-campaign-summary"]. *)
 
 val report_to_jsonl : report -> string
-(** One ["fed-case"] line per case, then one ["fed-campaign-summary"]. *)
+(** {!report_lines} as JSON Lines text. *)

@@ -20,6 +20,12 @@ let emit t v =
 
 let emitted t = t.lines
 
+let jsonl values =
+  let b = Buffer.create 4096 in
+  let t = of_buffer b in
+  List.iter (emit t) values;
+  Buffer.contents b
+
 let with_file path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (of_channel oc))

@@ -16,6 +16,10 @@ val emit : t -> Sep_util.Json.t -> unit
 val emitted : t -> int
 (** Lines written so far. *)
 
+val jsonl : Sep_util.Json.t list -> string
+(** The JSON Lines text of the values, in order: what a buffer sink
+    holds after emitting each of them. *)
+
 val with_file : string -> (t -> 'a) -> 'a
 (** Open (truncating), hand the sink to the callback, close — also on
     exceptions. *)

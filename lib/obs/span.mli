@@ -7,7 +7,7 @@
     instrumented kernel hot paths ({!Sep_core.Sue.exec_op}, the
     {!Sep_core.Separability} condition checkers, {!Sep_core.Randomized}
     walks) pay nothing in ordinary runs. Surfaces that report profiles
-    ([rushby stats], [bench/main.exe -- snapshot]) enable it first. *)
+    ([rushby stats], [rushby verify --trace-json]) enable it first. *)
 
 type t
 (** A span handle: make once, time many. *)

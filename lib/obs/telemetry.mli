@@ -5,7 +5,7 @@
     obtained once and updated in O(1) with no further lookups, so metrics
     can live on kernel hot paths. Registries are mergeable (for combining
     per-run or per-worker snapshots) and serialize to JSON through
-    {!Sep_util.Json} for the JSONL sinks and bench snapshots.
+    {!Sep_util.Json} for the JSONL sinks.
 
     Histograms are log-bucketed: observations land in geometric buckets
     with growth ratio [2^(1/4)], so every quantile estimate carries at most

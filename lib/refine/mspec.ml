@@ -92,9 +92,6 @@ let machine t c = t.machines.(regime_index t c)
 let current_colour t = t.colours.(t.cur)
 let colours t = Array.to_list t.colours
 
-let quiescent t =
-  Array.for_all (fun m -> m.AR.status <> AR.Running) t.machines
-
 let sent_words t id = List.rev t.sent.(id)
 let consumed_words t id = List.rev t.consumed.(id)
 let emitted_words t c = List.rev t.emitted.(regime_index t c)

@@ -55,10 +55,6 @@ val machine : t -> Colour.t -> AR.t
 val current_colour : t -> Colour.t
 val colours : t -> Colour.t list
 
-val quiescent : t -> bool
-(** Every machine is [Waiting] or [Parked]: nothing will ever run again
-    without an external input. *)
-
 (** {1 Committed-word streams}
 
     The Kahn-style observation the cross-level relation compares: the

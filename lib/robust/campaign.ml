@@ -23,6 +23,42 @@ let pp_outcome ppf = function
   | Recovered_safe -> Fmt.string ppf "recovered-safe"
   | Violating -> Fmt.string ppf "separation-violating"
 
+(* -- The outcome lattice ---------------------------------------------------- *)
+
+let outcome_of ~violating ~recovered ~noticed =
+  if violating then Violating
+  else if recovered then Recovered_safe
+  else if noticed then Detected_safe
+  else Masked
+
+let tally outcome cases =
+  List.fold_left
+    (fun (m, d, r, v) c ->
+      match outcome c with
+      | Masked -> (m + 1, d, r, v)
+      | Detected_safe -> (m, d + 1, r, v)
+      | Recovered_safe -> (m, d, r + 1, v)
+      | Violating -> (m, d, r, v + 1))
+    (0, 0, 0, 0) cases
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> x = y && is_prefix a' b'
+
+(* Order-preserving comparison, step indices deliberately dropped: parking
+   or slowing one regime shifts every other regime's timing (the paper
+   excludes timing channels), so observing more or fewer words of the
+   same sequence is not divergence — different words are. *)
+let prefix_compatible a b = is_prefix a b || is_prefix b a
+
+let colour_diverged ~owner reference faulty c =
+  List.exists2
+    (fun (d, ref_words) (_, got_words) ->
+      Colour.equal (owner d) c && not (prefix_compatible ref_words got_words))
+    reference faulty
+
 type case = {
   plan : Fault_plan.t;
   target : Colour.t option;
@@ -67,15 +103,6 @@ let catalogue =
   List.map (fun sc -> (sc, None)) Scenarios.all @ [ (greedy_watchdog, Some greedy_watchdog_quantum) ]
 
 let subjects = List.map fst catalogue
-
-(* Deterministic input drip, shared with the CLI drivers: one alphabet
-   element every 10 steps, cycling through the non-empty entries. *)
-let drip (sc : Scenarios.instance) =
-  let alphabet = Array.of_list sc.Scenarios.alphabet in
-  fun n ->
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
 
 (* -- The stepping wrapper -------------------------------------------------- *)
 
@@ -159,7 +186,7 @@ let step r n input =
   r.dup_after <- [];
   out
 
-(* -- Observation and comparison -------------------------------------------- *)
+(* -- Observation ------------------------------------------------------------- *)
 
 type observation = {
   ob_outputs : (int * int list) list;  (* per Tx device, words in order *)
@@ -191,7 +218,7 @@ let observe_run ?watchdog ?recover ?(hook = fun _ () -> ()) (sc : Scenarios.inst
   in
   let m = Sue.machine t in
   let ndev = Machine.num_devices m in
-  let inputs = drip sc in
+  let inputs = Scenarios.drip sc.Scenarios.alphabet in
   (* Flow-controlled delivery: a dripped word queues until its Rx latch is
      free (status 0), so each regime consumes the same word sequence no
      matter how the processor is shared. Without the handshake the
@@ -238,24 +265,6 @@ let observe_run ?watchdog ?recover ?(hook = fun _ () -> ()) (sc : Scenarios.inst
       ob_wd_fires = List.length wd },
     t )
 
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-(* Order-preserving comparison, step indices deliberately dropped: parking
-   or slowing one regime shifts every other regime's timing (the paper
-   excludes timing channels), so observing more or fewer words of the
-   same sequence is not divergence — different words are. *)
-let sequences_diverge a b = not (is_prefix a b || is_prefix b a)
-
-let colour_diverged reference faulty t c =
-  List.exists2
-    (fun (d, ref_words) (_, got_words) ->
-      Colour.equal (Sue.device_owner t d) c && sequences_diverge ref_words got_words)
-    reference.ob_outputs faulty.ob_outputs
-
 (* -- Classification -------------------------------------------------------- *)
 
 let classify ~cfg ~reference ~faulty ~t (plan : Fault_plan.t) =
@@ -276,13 +285,13 @@ let classify ~cfg ~reference ~faulty ~t (plan : Fault_plan.t) =
       plan.Fault_plan.faults
   in
   let colours = Config.colours cfg in
+  let diverged =
+    colour_diverged ~owner:(Sue.device_owner t) reference.ob_outputs faulty.ob_outputs
+  in
   let perturbed v =
-    colour_diverged reference faulty t v
-    || List.assoc v faulty.ob_status <> List.assoc v reference.ob_status
+    diverged v || List.assoc v faulty.ob_status <> List.assoc v reference.ob_status
   in
-  let others_diverged =
-    List.exists (fun c -> (not (targeted c)) && colour_diverged reference faulty t c) colours
-  in
+  let others_diverged = List.exists (fun c -> (not (targeted c)) && diverged c) colours in
   let victim_perturbed = List.exists (fun c -> targeted c && perturbed c) colours in
   (* Recovered-safe demands full recovery: a recovery action happened and
      nothing stayed parked. A run where recovery was attempted but some
@@ -293,10 +302,9 @@ let classify ~cfg ~reference ~faulty ~t (plan : Fault_plan.t) =
     List.exists (fun (_, s) -> s = Abstract_regime.Parked) faulty.ob_status
   in
   let outcome =
-    if others_diverged then Violating
-    else if faulty.ob_recoveries <> [] && not parked_at_end then Recovered_safe
-    else if faulty.ob_detections <> [] then Detected_safe
-    else Masked
+    outcome_of ~violating:others_diverged
+      ~recovered:(faulty.ob_recoveries <> [] && not parked_at_end)
+      ~noticed:(faulty.ob_detections <> [])
   in
   {
     plan;
@@ -337,23 +345,6 @@ let monitored_case ?watchdog ?recover ?(period = 32) ~steps ~plan (sc : Scenario
    scenario's plans are reproducible in isolation. *)
 let scenario_seed seed label =
   String.fold_left (fun acc ch -> ((acc * 31) + Char.code ch) land 0x3fffffff) seed label
-
-let run_scenario ?watchdog ?recover ?(multi = 0) ~seed ~steps ~count (sc : Scenarios.instance) =
-  (* The reference is fault-free, so nothing ever parks and a supervisor
-     would have nothing to do: run it bare. *)
-  let reference, _ = observe_run ?watchdog sc ~steps ~plan:None in
-  let plans =
-    Fault_plan.generate ~seed ~steps ~count sc.Scenarios.cfg
-    @ (if multi > 0 then
-         Fault_plan.generate_multi ~seed ~steps ~count:multi ~faults_per_plan:3
-           sc.Scenarios.cfg
-       else [])
-  in
-  let run_case plan =
-    let faulty, t = observe_run ?watchdog ?recover sc ~steps ~plan:(Some plan) in
-    classify ~cfg:sc.Scenarios.cfg ~reference ~faulty ~t plan
-  in
-  { label = sc.Scenarios.label; seed; steps; watchdog; cases = List.map run_case plans }
 
 (* The parallel campaign driver. Every fault plan is replayed against an
    isolated fresh kernel and classified against its scenario's fault-free
@@ -417,17 +408,7 @@ let run_recovery ?(policy = Recover.default_policy) ?jobs ~seed ~steps ~count ()
   run_catalogue ~recover:policy ~multi:(max 1 (count / 2)) ?jobs ~seed ~steps ~count ()
 
 let totals report =
-  List.fold_left
-    (fun (m, d, r, v) sr ->
-      List.fold_left
-        (fun (m, d, r, v) case ->
-          match case.outcome with
-          | Masked -> (m + 1, d, r, v)
-          | Detected_safe -> (m, d + 1, r, v)
-          | Recovered_safe -> (m, d, r + 1, v)
-          | Violating -> (m, d, r, v + 1))
-        (m, d, r, v) sr.cases)
-    (0, 0, 0, 0) report.rp_scenarios
+  tally (fun c -> c.outcome) (List.concat_map (fun sr -> sr.cases) report.rp_scenarios)
 
 let holds report =
   let _, _, _, v = totals report in
@@ -477,19 +458,11 @@ let summary_json report =
       ("holds", J.Bool (holds report));
     ]
 
-let report_to_jsonl report =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun sr ->
-      List.iter
-        (fun case ->
-          J.to_buffer buf (case_to_json sr case);
-          Buffer.add_char buf '\n')
-        sr.cases)
-    report.rp_scenarios;
-  J.to_buffer buf (summary_json report);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let report_lines report =
+  List.concat_map (fun sr -> List.map (case_to_json sr) sr.cases) report.rp_scenarios
+  @ [ summary_json report ]
+
+let report_to_jsonl report = Sep_obs.Sink.jsonl (report_lines report)
 
 (* -- The distributed baseline ---------------------------------------------- *)
 

@@ -45,6 +45,33 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+(** {1 The outcome lattice}
+
+    The ranking and tally every campaign shares (this one,
+    {!Sep_fed.Fed_campaign}, {!Sep_svc.Svc_campaign}), and the
+    prefix-tolerant trace comparison every differential check shares. *)
+
+val outcome_of : violating:bool -> recovered:bool -> noticed:bool -> outcome
+(** The precedence [Violating > Recovered_safe > Detected_safe > Masked]:
+    the highest-ranked outcome whose evidence is present. *)
+
+val tally : ('a -> outcome) -> 'a list -> int * int * int * int
+(** (masked, detected-safe, recovered-safe, violating) over the cases. *)
+
+val is_prefix : 'a list -> 'a list -> bool
+(** [is_prefix a b]: [a] is an initial segment of [b]. *)
+
+val prefix_compatible : 'a list -> 'a list -> bool
+(** One sequence is a prefix of the other: the same behaviour observed
+    for more or fewer of its steps. *)
+
+val colour_diverged :
+  owner:(int -> Colour.t) -> (int * 'a list) list -> (int * 'a list) list -> Colour.t -> bool
+(** [colour_diverged ~owner reference faulty c]: some device [owner]
+    assigns to [c] carries words in the [faulty] transcript that are not
+    {!prefix_compatible} with the [reference] one. Both transcripts list
+    the same devices in the same order. *)
+
 type case = {
   plan : Fault_plan.t;
   target : Colour.t option;
@@ -72,19 +99,6 @@ val subjects : Scenarios.instance list
 (** The scenario catalogue under test: {!Scenarios.all} plus
     ["greedy-watchdog"], the preemptive instance re-hosted without a
     quantum so only the watchdog keeps both regimes live. *)
-
-val run_scenario :
-  ?watchdog:int ->
-  ?recover:Sep_recover.Recover.policy ->
-  ?multi:int ->
-  seed:int -> steps:int -> count:int -> Scenarios.instance -> scenario_report
-(** Generate [count] single-fault plans (from [seed], specialised to the
-    scenario's configuration) — plus [multi] three-fault plans from
-    {!Fault_plan.generate_multi} when [multi > 0] — and classify each
-    against the fault-free reference. Each case runs on a fresh kernel
-    build; with [recover] a {!Sep_recover.Recover} supervisor ticks after
-    every step, restarting parked regimes and warm-rebooting all-parked
-    kernels under the given budgets. *)
 
 type monitored = {
   mc_case : case;
@@ -133,17 +147,15 @@ val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating) across all
     scenarios. *)
 
-val case_to_json : scenario_report -> case -> Sep_util.Json.t
-(** One JSONL line: [{"kind": "fault-case", "scenario", "seed", "steps",
-    "plan", "target", "outcome", "victim_perturbed", "detections",
-    "recoveries", "watchdog_delta"}]. *)
+val report_lines : report -> Sep_util.Json.t list
+(** One [{"kind": "fault-case", "scenario", "seed", "steps", "plan",
+    "target", "outcome", "victim_perturbed", "detections", "recoveries",
+    "watchdog_delta"}] line per case, then one
+    [{"kind": "campaign-summary", ...}] line with the totals and the
+    headline verdict. *)
 
 val report_to_jsonl : report -> string
-(** One line per case, then one [{"kind": "campaign-summary", ...}] line
-    with the totals and the headline verdict. *)
-
-val summary_json : report -> Sep_util.Json.t
-(** The summary object alone (the bench snapshot section). *)
+(** {!report_lines} as JSON Lines text. *)
 
 (** {1 The distributed baseline}
 

@@ -1,4 +1,5 @@
 module Fed = Sep_fed.Fed
+module Fed_campaign = Sep_fed.Fed_campaign
 module Fault_plan = Sep_robust.Fault_plan
 module Campaign = Sep_robust.Campaign
 module Telemetry = Sep_obs.Telemetry
@@ -78,30 +79,12 @@ let plans dep ~seed ~steps ~soak =
    recovered. The service contract replaces the differential trace
    comparison as the violation oracle — a user can't see traces, but a
    lost or doubled effect is exactly what they would see. *)
-let noticed (ob : Fed.observation) =
-  ob.Fed.fob_detections <> []
-  || ob.Fed.fob_frame_rejects > 0
-  || List.exists
-       (fun (_, e) ->
-         match e with
-         | Fed.Node_down_detected _ | Fed.Node_quarantined _ | Fed.Frame_rejected _ -> true
-         | _ -> false)
-       ob.Fed.fob_events
-
-let recovered (ob : Fed.observation) =
-  ob.Fed.fob_recoveries <> []
-  || List.exists
-       (fun (_, e) ->
-         match e with Fed.Node_failover _ | Fed.Node_rejoined _ -> true | _ -> false)
-       ob.Fed.fob_events
-
 let classify (r : Svc.result) tel plan =
   let ob = r.Svc.sr_fed in
-  let outcome : Campaign.outcome =
-    if ob.Fed.fob_first_violation <> None || not r.Svc.sr_contract.Svc.ct_ok then Violating
-    else if recovered ob then Recovered_safe
-    else if noticed ob then Detected_safe
-    else Masked
+  let outcome =
+    Campaign.outcome_of
+      ~violating:(ob.Fed.fob_first_violation <> None || not r.Svc.sr_contract.Svc.ct_ok)
+      ~recovered:(Fed_campaign.recovered ob) ~noticed:(Fed_campaign.noticed ob)
   in
   let c name =
     match Telemetry.find_counter tel name with
@@ -142,15 +125,7 @@ let holds r = List.for_all (fun c -> c.sc_outcome <> Campaign.Violating) r.sv_ca
 let monitor_clean r = List.for_all (fun c -> c.sc_first_violation = None) r.sv_cases
 let contracts_ok r = List.for_all (fun c -> c.sc_contract.Svc.ct_ok) r.sv_cases
 
-let totals r =
-  List.fold_left
-    (fun (m, d, rc, v) c ->
-      match c.sc_outcome with
-      | Campaign.Masked -> (m + 1, d, rc, v)
-      | Campaign.Detected_safe -> (m, d + 1, rc, v)
-      | Campaign.Recovered_safe -> (m, d, rc + 1, v)
-      | Campaign.Violating -> (m, d, rc, v + 1))
-    (0, 0, 0, 0) r.sv_cases
+let totals r = Campaign.tally (fun c -> c.sc_outcome) r.sv_cases
 
 let case_to_json r c =
   J.Obj
@@ -201,13 +176,5 @@ let summary_json r =
       ("contracts_ok", J.Bool (contracts_ok r));
     ]
 
-let report_to_jsonl r =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun c ->
-      Buffer.add_string buf (J.to_string (case_to_json r c));
-      Buffer.add_char buf '\n')
-    r.sv_cases;
-  Buffer.add_string buf (J.to_string (summary_json r));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let report_lines r = List.map (case_to_json r) r.sv_cases @ [ summary_json r ]
+let report_to_jsonl r = Sep_obs.Sink.jsonl (report_lines r)

@@ -77,8 +77,8 @@ val contracts_ok : report -> bool
 val totals : report -> int * int * int * int
 (** (masked, detected-safe, recovered-safe, violating). *)
 
-val case_to_json : report -> case -> Sep_util.Json.t
-val summary_json : report -> Sep_util.Json.t
+val report_lines : report -> Sep_util.Json.t list
+(** One ["svc-case"] line per case, then one ["svc-campaign-summary"]. *)
 
 val report_to_jsonl : report -> string
-(** One ["svc-case"] line per case, then one ["svc-campaign-summary"]. *)
+(** {!report_lines} as JSON Lines text. *)

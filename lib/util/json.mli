@@ -1,11 +1,10 @@
 (** Minimal JSON values, writer and reader.
 
-    Hand-rolled so the observability layer ({!Sep_obs}) and the bench
-    snapshot writer depend on nothing outside this repository. The writer
-    emits compact, deterministic output (object fields in the order given);
-    the reader accepts standard JSON and is used by tests and by
-    [bench/main.exe -- snapshot --check] to validate what the writer
-    produced. *)
+    Hand-rolled so the observability layer ({!Sep_obs}) and the JSONL
+    reports depend on nothing outside this repository. The writer emits
+    compact, deterministic output (object fields in the order given); the
+    reader accepts standard JSON and is used by tests and by the CLI to
+    read the checked-in regression corpus. *)
 
 type t =
   | Null

@@ -83,12 +83,7 @@ let test_ring_relay () =
 let monolithic spec ~steps =
   let t = Sue.build spec.Fed.fs_cfg in
   let m = Sue.machine t in
-  let alphabet = Array.of_list spec.Fed.fs_alphabet in
-  let inputs n =
-    if Array.length alphabet > 1 && n mod 10 = 0 then
-      alphabet.((n / 10) mod (Array.length alphabet - 1) + 1)
-    else []
-  in
+  let inputs = Sep_core.Scenarios.drip spec.Fed.fs_alphabet in
   let ndev = Sep_hw.Machine.num_devices m in
   let queues = Array.init ndev (fun _ -> Queue.create ()) in
   let flat = ref [] in
@@ -393,6 +388,16 @@ let test_chaos_deterministic () =
   in
   check Alcotest.string "jsonl identical -j1 vs -j2" (run 1) (run 2)
 
+(* The fed-pair report at the CLI's smoke size, byte for byte: any change
+   to classification, tally or JSONL framing moves this digest. Update
+   the pin only for an intended change to the report itself. *)
+let test_chaos_digest () =
+  check Alcotest.string "fed-pair smoke jsonl" "2c835e5957e26b210de233d91ff5c01b"
+    (Digest.to_hex
+       (Digest.string
+          (Fed_campaign.report_to_jsonl
+             (Fed_campaign.run ~seed:42 ~steps:300 ~count:8 Fed_scenarios.pair))))
+
 let () =
   Alcotest.run "fed"
     [
@@ -426,5 +431,6 @@ let () =
             test_monitor_clean_every_step;
           Alcotest.test_case "directed crashes recover" `Quick test_chaos_crash_recovers;
           Alcotest.test_case "deterministic across jobs" `Quick test_chaos_deterministic;
+          Alcotest.test_case "jsonl digest pinned" `Quick test_chaos_digest;
         ] );
     ]

@@ -164,14 +164,13 @@ let jobs_deterministic () =
 
 (* -- CLI exit codes ---------------------------------------------------------- *)
 
-(* The sibling executables live one directory up from this test binary in
-   the build tree (declared as deps in the dune stanza); resolve them from
+(* The sibling executable lives one directory up from this test binary in
+   the build tree (declared as a dep in the dune stanza); resolve it from
    the binary's own location so the tests pass under both [dune runtest]
    and [dune exec]. *)
 let sibling_exe name = Filename.concat (Filename.dirname Sys.executable_name) name
 let run_quiet cmd = Sys.command (cmd ^ " > /dev/null 2> /dev/null")
 let rushby args = run_quiet (Fmt.str "%s %s" (sibling_exe "../bin/rushby.exe") args)
-let bench args = run_quiet (Fmt.str "%s %s" (sibling_exe "../bench/main.exe") args)
 
 let replay_divergent_exits_1 () =
   (* a seed the kill table found for forget-register-save: replay must
@@ -181,34 +180,6 @@ let replay_divergent_exits_1 () =
 
 let replay_unknown_bug_rejected () =
   check "unknown bug name is an error" true (rushby "refine --replay 1 --bug no-such-bug" <> 0)
-
-let temp_snapshot label rate =
-  let file = Filename.temp_file "rushby-snap" ".json" in
-  Out_channel.with_open_text file (fun oc ->
-      Printf.fprintf oc {|{"experiments":[{"label":"%s","checks_per_sec":%d}]}|} label rate);
-  file
-
-let bench_compare_identical_exits_0 () =
-  let snap = temp_snapshot "e1" 1000 in
-  let code = bench (Fmt.str "compare %s %s" snap snap) in
-  Sys.remove snap;
-  Alcotest.(check int) "identical snapshots pass the gate" 0 code
-
-let bench_compare_regression_exits_1 () =
-  let old_snap = temp_snapshot "e1" 1000 in
-  let new_snap = temp_snapshot "e1" 500 in
-  let code = bench (Fmt.str "compare %s %s" old_snap new_snap) in
-  Sys.remove old_snap;
-  Sys.remove new_snap;
-  Alcotest.(check int) "a 50%% drop fails the gate" 1 code
-
-let bench_compare_improvement_exits_0 () =
-  let old_snap = temp_snapshot "e1" 1000 in
-  let new_snap = temp_snapshot "e1" 2000 in
-  let code = bench (Fmt.str "compare %s %s" old_snap new_snap) in
-  Sys.remove old_snap;
-  Sys.remove new_snap;
-  Alcotest.(check int) "an improvement passes the gate" 0 code
 
 let main () =
   Alcotest.run "refine"
@@ -238,9 +209,6 @@ let main () =
         [
           Alcotest.test_case "divergent replay exits 1" `Quick replay_divergent_exits_1;
           Alcotest.test_case "unknown bug rejected" `Quick replay_unknown_bug_rejected;
-          Alcotest.test_case "compare identical exits 0" `Quick bench_compare_identical_exits_0;
-          Alcotest.test_case "compare regression exits 1" `Quick bench_compare_regression_exits_1;
-          Alcotest.test_case "compare improvement exits 0" `Quick bench_compare_improvement_exits_0;
         ] );
     ]
 

@@ -292,6 +292,111 @@ let test_recovery_deterministic () =
   let run () = Campaign.report_to_jsonl (Campaign.run_recovery ~seed:9 ~steps:40 ~count:6 ()) in
   check Alcotest.string "same seed, same recovery report" (run ()) (run ())
 
+(* -- JSONL digests ------------------------------------------------------------ *)
+
+(* The smoke-size reports, byte for byte: any change to a campaign's
+   classification, tally or JSONL framing moves these digests. Update a
+   pin only for an intended change to the report itself. *)
+let digest jsonl = Digest.to_hex (Digest.string jsonl)
+
+let test_campaign_digest () =
+  check Alcotest.string "campaign smoke jsonl" "8956c63d0453ecf9a72d05f0c149995e"
+    (digest (Campaign.report_to_jsonl (Lazy.force smoke)))
+
+let test_recovery_digest () =
+  check Alcotest.string "recovery smoke jsonl" "c07618be07a7d11e990e772c76ba6a5b"
+    (digest (Campaign.report_to_jsonl (Lazy.force recovery_smoke)))
+
+(* -- The outcome lattice ------------------------------------------------------ *)
+
+let outcome = Alcotest.testable Campaign.pp_outcome ( = )
+
+let test_outcome_precedence () =
+  List.iter
+    (fun (violating, recovered, noticed, expected) ->
+      check outcome
+        (Fmt.str "violating %b, recovered %b, noticed %b" violating recovered noticed)
+        expected
+        (Campaign.outcome_of ~violating ~recovered ~noticed))
+    Campaign.
+      [
+        (true, true, true, Violating);
+        (true, false, false, Violating);
+        (false, true, true, Recovered_safe);
+        (false, true, false, Recovered_safe);
+        (false, false, true, Detected_safe);
+        (false, false, false, Masked);
+      ]
+
+let test_tally () =
+  let count outcomes =
+    let m, d, r, v = Campaign.tally snd outcomes in
+    [ m; d; r; v ]
+  in
+  check Alcotest.(list int) "empty" [ 0; 0; 0; 0 ] (count []);
+  check Alcotest.(list int) "one count per outcome" [ 3; 1; 2; 1 ]
+    (count
+       Campaign.
+         [
+           (0, Masked); (1, Violating); (2, Masked); (3, Recovered_safe); (4, Detected_safe);
+           (5, Masked); (6, Recovered_safe);
+         ])
+
+(* Device 0 belongs to RED, device 1 to BLACK. *)
+let diverged faulty c =
+  Campaign.colour_diverged
+    ~owner:(fun d -> if d = 0 then Colour.red else Colour.black)
+    [ (0, [ 1; 2; 3 ]); (1, [ 7 ]) ]
+    faulty c
+
+let test_prefix_not_divergence () =
+  List.iter
+    (fun words ->
+      Alcotest.(check bool)
+        (Fmt.str "RED emitted %a" Fmt.(Dump.list int) words)
+        false
+        (diverged [ (0, words); (1, [ 7 ]) ] Colour.red))
+    [ []; [ 1 ]; [ 1; 2; 3 ]; [ 1; 2; 3; 4; 5 ] ]
+
+let test_differing_word_diverges () =
+  Alcotest.(check bool) "a changed word" true
+    (diverged [ (0, [ 1; 9; 3 ]); (1, [ 7 ]) ] Colour.red);
+  Alcotest.(check bool) "a shorter trace with a changed word" true
+    (diverged [ (0, [ 2 ]); (1, [ 7 ]) ] Colour.red)
+
+let test_other_colour_ignored () =
+  let faulty = [ (0, [ 1; 2; 3 ]); (1, [ 8 ]) ] in
+  Alcotest.(check bool) "BLACK's device does not count against RED" false
+    (diverged faulty Colour.red);
+  Alcotest.(check bool) "it counts against BLACK" true (diverged faulty Colour.black)
+
+(* -- The input drip ----------------------------------------------------------- *)
+
+let alphabet = [ []; [ (0, 1) ]; [ (0, 2) ]; [ (1, 3) ] ]
+
+let test_drip_every_tenth_step () =
+  let drip = Scenarios.drip alphabet in
+  List.iter
+    (fun step ->
+      Alcotest.(check bool) (Fmt.str "step %d" step) (step mod 10 = 0) (drip step <> []))
+    (List.init 45 Fun.id)
+
+let test_drip_skips_entry_zero () =
+  check
+    Alcotest.(list (list (pair int int)))
+    "entries 1, 2, 3, then around again"
+    [ [ (0, 1) ]; [ (0, 2) ]; [ (1, 3) ]; [ (0, 1) ]; [ (0, 2) ] ]
+    (List.map (Scenarios.drip alphabet) [ 0; 10; 20; 30; 40 ])
+
+let test_drip_one_entry_alphabet () =
+  List.iter
+    (fun only ->
+      let drip = Scenarios.drip [ only ] in
+      List.iter
+        (fun step -> check Alcotest.(list (pair int int)) (Fmt.str "step %d" step) [] (drip step))
+        [ 0; 1; 10; 20 ])
+    [ []; [ (0, 1) ] ]
+
 (* -- JSONL round-trips ------------------------------------------------------- *)
 
 let member name fields =
@@ -391,6 +496,7 @@ let () =
           Alcotest.test_case "jsonl parses" `Quick test_campaign_jsonl_parses;
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
           Alcotest.test_case "distributed baseline" `Quick test_distributed_baseline;
+          Alcotest.test_case "jsonl digest pinned" `Quick test_campaign_digest;
         ] );
       ( "recovery campaign",
         [
@@ -398,6 +504,21 @@ let () =
           Alcotest.test_case "cases record recovery actions" `Quick
             test_recovery_cases_record_actions;
           Alcotest.test_case "deterministic" `Quick test_recovery_deterministic;
+          Alcotest.test_case "jsonl digest pinned" `Quick test_recovery_digest;
+        ] );
+      ( "outcome lattice",
+        [
+          Alcotest.test_case "precedence" `Quick test_outcome_precedence;
+          Alcotest.test_case "tally" `Quick test_tally;
+          Alcotest.test_case "prefix is not divergence" `Quick test_prefix_not_divergence;
+          Alcotest.test_case "differing word diverges" `Quick test_differing_word_diverges;
+          Alcotest.test_case "other colour's device ignored" `Quick test_other_colour_ignored;
+        ] );
+      ( "input drip",
+        [
+          Alcotest.test_case "every tenth step" `Quick test_drip_every_tenth_step;
+          Alcotest.test_case "skips entry 0" `Quick test_drip_skips_entry_zero;
+          Alcotest.test_case "one-entry alphabet" `Quick test_drip_one_entry_alphabet;
         ] );
       ( "jsonl round-trips",
         [

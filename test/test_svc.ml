@@ -217,6 +217,16 @@ let test_campaign_jobs_identical () =
   check Alcotest.bool "-j1 and -j3 reports byte-identical" true
     (Svc_campaign.report_to_jsonl r1 = Svc_campaign.report_to_jsonl r2)
 
+(* The fed-fs report at the CLI's smoke size, byte for byte: any change
+   to classification, tally or JSONL framing moves this digest. Update
+   the pin only for an intended change to the report itself. *)
+let test_campaign_digest () =
+  check Alcotest.string "fed-fs smoke jsonl" "5506b9de256d84a68e3e323d98bbf4e5"
+    (Digest.to_hex
+       (Digest.string
+          (Svc_campaign.report_to_jsonl
+             (Svc_campaign.run ~seed:42 ~steps:2000 ~soak:1 Fed_services.file_server))))
+
 (* -- Fed batched frames ------------------------------------------------------ *)
 
 (* The NIC batches a ring drain into one frame; a legacy single-word
@@ -253,7 +263,10 @@ let () =
         ] );
       ("soak", [ quick "generator" test_soak_generator ]);
       ( "campaign",
-        [ quick "smoke" test_campaign_smoke; quick "jobs identical" test_campaign_jobs_identical ]
-      );
+        [
+          quick "smoke" test_campaign_smoke;
+          quick "jobs identical" test_campaign_jobs_identical;
+          quick "jsonl digest pinned" test_campaign_digest;
+        ] );
       ("fed-batch", [ quick "clean batches" test_batch_frames ]);
     ]
