@@ -1,10 +1,11 @@
 #!/bin/sh
 # CI check: full build, the whole test suite, an online-monitor smoke run
-# (exit 1 on offline/online disagreement or a missed corpus mutant), a
-# deterministic fault-injection smoke campaign (exit 1 on any
-# separation-violating outcome), a recovery smoke campaign (exit 1 on any
-# violating or non-recovered outcome, or on a reliable-channel
-# differential mismatch), a coverage-guided fuzz smoke run (exit 1 on any
+# (exit 1 on offline/online disagreement or a missed corpus mutant), the
+# exhaustive mutant kill table (exit 1 if any seeded kernel bug escapes
+# its predicted condition), a deterministic fault-injection smoke
+# campaign (exit 1 on any separation-violating outcome), a recovery
+# smoke campaign (exit 1 on any violating or non-recovered outcome, or
+# on a reliable-channel differential mismatch), a coverage-guided fuzz smoke run (exit 1 on any
 # condition/isolation failure or surviving mutant), a federation smoke
 # run with node-fault chaos (exit 1 on an ideal-differential mismatch,
 # a violating chaos outcome or an unclean shard monitor), a
@@ -24,6 +25,7 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 dune exec bin/rushby.exe -- monitor --smoke
+dune exec bin/rushby.exe -- mutants
 dune exec bin/rushby.exe -- inject --smoke
 dune exec bin/rushby.exe -- recover --smoke
 # The fuzz smoke gate is pinned to a seed where the 40-exec budget

@@ -61,6 +61,31 @@ let impl_arg =
   Arg.(value & opt impl_conv Sep_core.Sue.Microcode
        & info [ "impl" ] ~doc:"Kernel implementation: microcode or assembly (machine code).")
 
+(* [Some reason] when the kernel implementation cannot run the scenario.
+   [Sue.build]'s own validation is the one statement of what each kernel
+   supports (the assembly kernel has no preemption quantum). *)
+let unsupported impl (sc : Sep_core.Scenarios.instance) =
+  match Sep_core.Sue.build ~impl sc.Sep_core.Scenarios.cfg with
+  | _ -> None
+  | exception Invalid_argument reason -> Some reason
+
+(* Whole-catalogue modes skip the scenarios the kernel cannot run. *)
+let print_skipped (sc : Sep_core.Scenarios.instance) reason =
+  Fmt.pr "  %-12s skipped: %s@." sc.Sep_core.Scenarios.label reason
+
+(* --scenario and --impl together: a combination the kernel cannot run is
+   a usage error, reported once here for every subcommand taking both *)
+let scenario_impl_arg =
+  let check scenario impl =
+    match unsupported impl scenario with
+    | None -> (scenario, impl)
+    | Some reason ->
+      Fmt.epr "rushby: scenario %s does not run on the %a kernel: %s@."
+        scenario.Sep_core.Scenarios.label Sep_core.Sue.pp_impl impl reason;
+      exit 2
+  in
+  Term.(const check $ scenario_arg $ impl_arg)
+
 let trace_json_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-json" ] ~docv:"FILE"
@@ -99,7 +124,7 @@ let emit_json_record file ~kernel_counters report =
 
 (* -- verify ---------------------------------------------------------------- *)
 
-let verify_run scenario bugs uncut impl trace_json =
+let verify_run (scenario, impl) bugs uncut trace_json =
   if trace_json <> None then Sep_obs.Span.set_enabled true;
   let cfg =
     if uncut then Sep_core.Config.cut_none scenario.Sep_core.Scenarios.cfg
@@ -124,7 +149,7 @@ let verify_run scenario bugs uncut impl trace_json =
 let verify_cmd =
   let doc = "Exhaustive Proof of Separability over a micro-scenario." in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const verify_run $ scenario_arg $ bugs_arg $ uncut_arg $ impl_arg $ trace_json_arg)
+    Term.(const verify_run $ scenario_impl_arg $ bugs_arg $ uncut_arg $ trace_json_arg)
 
 (* -- verify-random ---------------------------------------------------------- *)
 
@@ -177,7 +202,7 @@ let print_minimized scenario bugs impl seed params conditions =
     params.Sep_core.Randomized.walks params.Sep_core.Randomized.walk_len
     params.Sep_core.Randomized.scrambles
 
-let verify_random_run scenario bugs seed jobs walks walk_len scrambles impl trace_json =
+let verify_random_run (scenario, impl) bugs seed jobs walks walk_len scrambles trace_json =
   if trace_json <> None then Sep_obs.Span.set_enabled true;
   let params = { Sep_core.Randomized.walks; walk_len; scrambles } in
   let report =
@@ -199,8 +224,8 @@ let verify_random_cmd =
   let doc = "Randomized Proof of Separability (random walks plus scrambled partners)." in
   Cmd.v (Cmd.info "verify-random" ~doc)
     Term.(
-      const verify_random_run $ scenario_arg $ bugs_arg $ seed_arg $ jobs_arg $ walks_arg
-      $ walk_len_arg $ scrambles_arg $ impl_arg $ trace_json_arg)
+      const verify_random_run $ scenario_impl_arg $ bugs_arg $ seed_arg $ jobs_arg $ walks_arg
+      $ walk_len_arg $ scrambles_arg $ trace_json_arg)
 
 (* -- mutants ---------------------------------------------------------------- *)
 
@@ -413,7 +438,7 @@ let write_chrome file =
   close_out oc;
   Fmt.pr "wrote %s (%d events)@." file (List.length (Sep_obs.Trace.recorded ()))
 
-let trace_run scenario bugs steps impl trace_json chrome =
+let trace_run (scenario, impl) bugs steps trace_json chrome =
   if chrome <> None then Sep_obs.Trace.set_enabled true;
   let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
   let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
@@ -432,7 +457,7 @@ let trace_run scenario bugs steps impl trace_json chrome =
 let trace_cmd =
   let steps = Arg.(value & opt int 40 & info [ "steps" ] ~doc:"Steps to trace.") in
   Cmd.v (Cmd.info "trace" ~doc:"Trace a kernel run: instructions, traps, switches, interrupts.")
-    Term.(const trace_run $ scenario_arg $ bugs_arg $ steps $ impl_arg $ trace_json_arg $ chrome_arg)
+    Term.(const trace_run $ scenario_impl_arg $ bugs_arg $ steps $ trace_json_arg $ chrome_arg)
 
 (* -- monitor ------------------------------------------------------------------ *)
 
@@ -450,28 +475,33 @@ let monitor_smoke impl corpus_dir =
   let module S = Sep_core.Separability in
   let module F = Sep_check.Fuzz in
   let ok = ref true in
+  let agree_clean (sc : Sep_core.Scenarios.instance) =
+    let sched = List.init 12 (Sep_core.Scenarios.drip sc.Sep_core.Scenarios.alphabet) in
+    let offline =
+      F.check_schedule ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
+        sc.Sep_core.Scenarios.cfg sched
+    in
+    let online =
+      F.check_schedule_online ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
+        sc.Sep_core.Scenarios.cfg sched
+    in
+    let r = online.F.on_report in
+    let agree =
+      offline.S.states = r.S.states && offline.S.checks = r.S.checks
+      && offline.S.cond_checks = r.S.cond_checks
+      && S.verified offline && S.verified r
+      && online.F.on_first_violation = None
+    in
+    if not agree then ok := false;
+    Fmt.pr "  %-12s offline %d states / %d checks, online %d / %d: %s@."
+      sc.Sep_core.Scenarios.label offline.S.states offline.S.checks r.S.states r.S.checks
+      (if agree then "agree" else "DISAGREE")
+  in
   List.iter
-    (fun (sc : Sep_core.Scenarios.instance) ->
-      let sched = List.init 12 (Sep_core.Scenarios.drip sc.Sep_core.Scenarios.alphabet) in
-      let offline =
-        F.check_schedule ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
-          sc.Sep_core.Scenarios.cfg sched
-      in
-      let online =
-        F.check_schedule_online ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
-          sc.Sep_core.Scenarios.cfg sched
-      in
-      let r = online.F.on_report in
-      let agree =
-        offline.S.states = r.S.states && offline.S.checks = r.S.checks
-        && offline.S.cond_checks = r.S.cond_checks
-        && S.verified offline && S.verified r
-        && online.F.on_first_violation = None
-      in
-      if not agree then ok := false;
-      Fmt.pr "  %-12s offline %d states / %d checks, online %d / %d: %s@."
-        sc.Sep_core.Scenarios.label offline.S.states offline.S.checks r.S.states r.S.checks
-        (if agree then "agree" else "DISAGREE"))
+    (fun sc ->
+      match unsupported impl sc with
+      | None -> agree_clean sc
+      | Some reason -> print_skipped sc reason)
     Sep_core.Scenarios.all;
   if Sys.file_exists corpus_dir && Sys.is_directory corpus_dir then
     Array.iter
@@ -521,7 +551,7 @@ let monitor_smoke impl corpus_dir =
   Fmt.pr "monitor smoke: %s@." (if !ok then "OK" else "FAILED");
   if !ok then 0 else 1
 
-let monitor_run scenario bugs impl seed scrambles steps smoke corpus chrome =
+let monitor_run (scenario, impl) bugs seed scrambles steps smoke corpus chrome =
   if smoke then monitor_smoke impl corpus
   else begin
     if chrome <> None then Sep_obs.Trace.set_enabled true;
@@ -558,7 +588,7 @@ let monitor_cmd =
           conditions are checked incrementally as states are produced, so a violation is flagged \
           at the step that first exhibits it.")
     Term.(
-      const monitor_run $ scenario_arg $ bugs_arg $ impl_arg $ seed_arg $ scrambles_arg $ steps
+      const monitor_run $ scenario_impl_arg $ bugs_arg $ seed_arg $ scrambles_arg $ steps
       $ smoke $ corpus $ chrome_arg)
 
 (* -- stats ------------------------------------------------------------------- *)
@@ -582,7 +612,7 @@ let pp_link_stats ppf (s : Sep_distributed.Net.link_stats) =
     s.ls_in_flight s.ls_drops s.ls_lossy_drops s.ls_retransmits s.ls_acks s.ls_backoff_ceiling
     s.ls_partition_drops
 
-let stats_run scenario bugs seed jobs steps impl json_file =
+let stats_run (scenario, impl) bugs seed jobs steps json_file =
   Sep_obs.Span.set_enabled true;
   let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
   let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
@@ -668,7 +698,7 @@ let stats_cmd =
        ~doc:
          "Run a scenario and print the kernel's telemetry (per-regime counters, span profile) plus \
           the reliable net's link statistics.")
-    Term.(const stats_run $ scenario_arg $ bugs_arg $ seed_arg $ jobs_arg $ steps $ impl_arg $ json_file)
+    Term.(const stats_run $ scenario_impl_arg $ bugs_arg $ seed_arg $ jobs_arg $ steps $ json_file)
 
 (* -- metrics ----------------------------------------------------------------- *)
 
@@ -1079,10 +1109,14 @@ let fuzz_replay rseed scenario bugs impl walks walk_len scrambles =
 
 let fuzz_full smoke seed jobs budget impl json_file =
   let budget = if smoke then 40 else budget in
-  let results =
-    List.map
-      (fun sc -> Sep_check.Fuzz.fuzz_scenario ~impl ~jobs ~seed ~budget sc)
+  let runnable, skipped =
+    List.partition_map
+      (fun sc ->
+        match unsupported impl sc with None -> Either.Left sc | Some reason -> Right (sc, reason))
       Sep_core.Scenarios.all
+  in
+  let results =
+    List.map (fun sc -> Sep_check.Fuzz.fuzz_scenario ~impl ~jobs ~seed ~budget sc) runnable
   in
   Fmt.pr "== coverage-guided fuzz: seed %d, budget %d execs/scenario, %a kernel ==@." seed budget
     Sep_core.Sue.pp_impl impl;
@@ -1095,6 +1129,7 @@ let fuzz_full smoke seed jobs budget impl json_file =
         (List.length r.sr_failures)
         (if List.compare_length_with r.sr_failures 1 = 0 then "" else "s"))
     results;
+  List.iter (fun (sc, reason) -> print_skipped sc reason) skipped;
   let kills = Sep_check.Score.kill_table ~impl ~jobs ~seed ~budget () in
   let table =
     Sep_util.Table.create ~title:"Mutant kill rate per strategy"
@@ -1193,7 +1228,7 @@ let fuzz_replay_corpus impl file =
     Fmt.epr "rushby: %s: %s@." file msg;
     1
 
-let fuzz_run smoke seed jobs budget json_file replay replay_corpus scenario bugs impl walks
+let fuzz_run smoke seed jobs budget json_file replay replay_corpus (scenario, impl) bugs walks
     walk_len scrambles emit_corpus =
   match (emit_corpus, replay, replay_corpus) with
   | Some dir, _, _ -> fuzz_corpus_emit dir seed impl
@@ -1240,7 +1275,7 @@ let fuzz_cmd =
           each seeded kernel bug, shrinking killing workloads to minimal programs.")
     Term.(
       const fuzz_run $ smoke $ seed_arg $ jobs_arg $ budget $ json_file $ replay $ replay_corpus
-      $ scenario_arg $ bugs_arg $ impl_arg $ walks_arg $ walk_len_arg $ scrambles_arg
+      $ scenario_impl_arg $ bugs_arg $ walks_arg $ walk_len_arg $ scrambles_arg
       $ emit_corpus)
 
 (* -- refine ------------------------------------------------------------------ *)

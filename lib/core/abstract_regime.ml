@@ -31,16 +31,31 @@ let equal (a : t) (b : t) =
   a.mem = b.mem && a.regs = b.regs && a.flag_z = b.flag_z && a.flag_n = b.flag_n
   && a.status = b.status && a.devices = b.devices && a.sends = b.sends && a.recvs = b.recvs
 
+module Mix = Sep_util.Mix
+
+(* One word per device view: kind tag, IRQ line, 16-bit status and data. *)
+let device_word d =
+  let kind = match d.dv_kind with Machine.Rx -> 0 | Machine.Tx -> 1 | Machine.Xform _ -> 2 in
+  kind lor (Bool.to_int d.dv_irq lsl 2) lor (d.dv_status lsl 3) lor (d.dv_data lsl 19)
+
+let rec mix_contents h n = function
+  | [] -> Mix.int h n
+  | w :: rest -> mix_contents (Mix.int h w) (n + 1) rest
+
+let mix_ends h ends =
+  let h = Array.fold_left
+      (fun h e -> mix_contents (Mix.int (Mix.int h e.ce_chan) e.ce_capacity) 0 e.ce_contents)
+      h ends
+  in
+  Mix.int h (Array.length ends)
+
+(* Mixes every field [equal] compares, word by word; see [Sep_util.Mix]. *)
 let hash (t : t) =
-  Hashtbl.hash
-    ( Array.to_list t.mem,
-      Array.to_list t.regs,
-      t.flag_z,
-      t.flag_n,
-      t.status,
-      Array.to_list t.devices,
-      Array.to_list t.sends,
-      Array.to_list t.recvs )
+  let h = Mix.ints (Mix.ints Mix.seed t.mem) t.regs in
+  let status = match t.status with Running -> 0 | Waiting -> 4 | Parked -> 8 in
+  let h = Mix.int h (Bool.to_int t.flag_z lor (Bool.to_int t.flag_n lsl 1) lor status) in
+  let h = Array.fold_left (fun h d -> Mix.int h (device_word d)) h t.devices in
+  Mix.finish (mix_ends (mix_ends (Mix.int h (Array.length t.devices)) t.sends) t.recvs)
 
 let pp_status ppf = function
   | Running -> Fmt.string ppf "running"

@@ -46,7 +46,10 @@ type t = {
 }
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Mixes every field {!equal} compares, channel-end contents included. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Specification semantics} *)

@@ -1408,48 +1408,42 @@ let run t ~steps ~inputs =
 
 let phi t c =
   let r = Config.regime_index t.cfg c in
-  let base = t.layout.part_base.(r) and size = t.layout.part_size.(r) in
-  let mem = Array.init size (fun i -> Machine.read_phys t.m (base + i)) in
+  let mem = Machine.read_phys_slice t.m t.layout.part_base.(r) t.layout.part_size.(r) in
   let live = current_index t = r && Machine.mode t.m = Machine.User in
   let regs, flag_z, flag_n =
     if live then
       (Array.init Isa.num_regs (Machine.get_reg t.m), fst (Machine.get_flags t.m), snd (Machine.get_flags t.m))
     else begin
       let sb = t.layout.save_base.(r) in
-      let regs = Array.init Isa.num_regs (fun i -> read_kw t (sb + i)) in
       let z, n = flags_of_word (read_kw t (sb + off_flags)) in
-      (regs, z, n)
+      (Machine.read_phys_slice t.m sb Isa.num_regs, z, n)
     end
   in
-  let raised = Machine.pending_irqs t.m in
   let view d =
     let data, status = Machine.device_regs t.m d in
     {
       Abstract_regime.dv_kind = t.layout.dev_kinds.(d);
       dv_data = data;
       dv_status = status;
-      dv_irq = List.mem d raised;
+      dv_irq = Machine.irq_pending t.m d;
     }
   in
   let devices = Array.map view t.layout.dev_slots.(r) in
-  let chan_end area ci =
-    {
-      Abstract_regime.ce_chan = ci.ci_id;
-      ce_capacity = ci.ci_capacity;
-      ce_contents = ring_contents t area ci.ci_capacity;
-    }
-  in
-  let sends =
+  (* r's ends, in channel order: [owner] picks the endpoint, [area] the
+     ring that end reads *)
+  let ends owner area =
     Array.of_list
-      (List.filter_map
-         (fun ci -> if ci.ci_sender = r then Some (chan_end ci.ci_area_a ci) else None)
-         (Array.to_list t.layout.chans))
-  in
-  let recvs =
-    Array.of_list
-      (List.filter_map
-         (fun ci -> if ci.ci_receiver = r then Some (chan_end (intended_recv_area ci) ci) else None)
-         (Array.to_list t.layout.chans))
+      (Array.fold_right
+         (fun ci acc ->
+           if owner ci = r then
+             {
+               Abstract_regime.ce_chan = ci.ci_id;
+               ce_capacity = ci.ci_capacity;
+               ce_contents = ring_contents t (area ci) ci.ci_capacity;
+             }
+             :: acc
+           else acc)
+         t.layout.chans [])
   in
   {
     Abstract_regime.mem;
@@ -1458,8 +1452,8 @@ let phi t c =
     flag_n;
     status = status_of_code (get_status t r);
     devices;
-    sends;
-    recvs;
+    sends = ends (fun ci -> ci.ci_sender) (fun ci -> ci.ci_area_a);
+    recvs = ends (fun ci -> ci.ci_receiver) intended_recv_area;
   }
 
 (* -- Operation naming ------------------------------------------------------ *)
@@ -1480,6 +1474,18 @@ let peek_fetch t r pc =
   end
   else None
 
+(* [c ^ ":" ^ Printf.sprintf "%04x" w] for a 16-bit word, built in one
+   allocation: the checker names the next op of every state it explores. *)
+let op_name c w =
+  let n = String.length c in
+  let b = Bytes.create (n + 5) in
+  Bytes.blit_string c 0 b 0 n;
+  Bytes.set b n ':';
+  for i = 0 to 3 do
+    Bytes.set b (n + 1 + i) "0123456789abcdef".[(w lsr (12 - (4 * i))) land 0xf]
+  done;
+  Bytes.unsafe_to_string b
+
 let nextop_name t =
   let cur = current_index t in
   let c = Colour.name t.layout.colours.(cur) in
@@ -1488,7 +1494,7 @@ let nextop_name t =
   else begin
     match peek_fetch t cur (Machine.get_reg t.m Isa.pc_reg) with
     | None -> c ^ ":pcfault"
-    | Some w -> Fmt.str "%s:%04x" c w
+    | Some w -> op_name c w
   end
 
 (* -- Snapshot interface ---------------------------------------------------- *)

@@ -83,6 +83,10 @@ let read_phys t a =
   if a < 0 || a >= Array.length t.mem then invalid_arg "Machine.read_phys";
   t.mem.(a)
 
+let read_phys_slice t a n =
+  if a < 0 || n < 0 || a + n > Array.length t.mem then invalid_arg "Machine.read_phys_slice";
+  Array.sub t.mem a n
+
 let write_phys t a w =
   if a < 0 || a >= Array.length t.mem then invalid_arg "Machine.write_phys";
   t.mem.(a) <- Word.of_int w
@@ -146,6 +150,8 @@ let pending_irqs t =
   let out = ref [] in
   Array.iteri (fun i dev -> if dev.irq then out := i :: !out) t.devices;
   List.rev !out
+
+let irq_pending t d = t.devices.(d).irq
 
 let field_irq t d = t.devices.(d).irq <- false
 
@@ -378,15 +384,20 @@ let equal a b =
          x.kind = y.kind && x.data = y.data && x.status = y.status && x.irq = y.irq)
        a.devices b.devices
 
+(* One word per device: kind tag, IRQ line, 16-bit status and data. *)
+let device_word d =
+  let kind = match d.kind with Rx -> 0 | Tx -> 1 | Xform _ -> 2 in
+  kind lor (Bool.to_int d.irq lsl 2) lor (d.status lsl 3) lor (d.data lsl 19)
+
+(* Mixes every field [equal] compares, word by word; see [Sep_util.Mix]. *)
 let hash t =
-  Hashtbl.hash
-    ( Array.to_list t.mem,
-      Array.to_list t.regs,
-      t.flag_z,
-      t.flag_n,
-      (t.mm.base, t.mm.limit, Array.to_list t.mm.dev_slots),
-      (t.cpu_mode, Array.to_list t.frame, Array.to_list t.mmu_shadow),
-      Array.to_list (Array.map (fun d -> (d.data, d.status, d.irq)) t.devices) )
+  let module Mix = Sep_util.Mix in
+  let h = Mix.ints (Mix.ints Mix.seed t.mem) t.regs in
+  let mode = match t.cpu_mode with User -> 0 | Kernel -> 4 in
+  let h = Mix.int h (Bool.to_int t.flag_z lor (Bool.to_int t.flag_n lsl 1) lor mode) in
+  let h = Mix.ints (Mix.int (Mix.int h t.mm.base) t.mm.limit) t.mm.dev_slots in
+  let h = Mix.ints (Mix.ints h t.frame) t.mmu_shadow in
+  Mix.finish (Array.fold_left (fun h d -> Mix.int h (device_word d)) h t.devices)
 
 let pp ppf t =
   let digest = Array.fold_left (fun acc w -> (acc * 31) + w) 0 t.mem in

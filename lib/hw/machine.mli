@@ -108,6 +108,11 @@ val num_devices : t -> int
 val read_phys : t -> int -> Word.t
 (** Physical read; raises [Invalid_argument] when out of range. *)
 
+val read_phys_slice : t -> int -> int -> Word.t array
+(** [read_phys_slice t a n] is a fresh copy of the [n] words from
+    physical address [a]; raises [Invalid_argument] when any is out of
+    range. *)
+
 val write_phys : t -> int -> Word.t -> unit
 
 val get_reg : t -> int -> Word.t
@@ -144,6 +149,10 @@ val set_device_regs : t -> int -> data:Word.t -> status:Word.t -> unit
 val pending_irqs : t -> int list
 (** Devices whose IRQ line is raised and not yet fielded. *)
 
+val irq_pending : t -> int -> bool
+(** Whether one device's IRQ line is raised and not yet fielded: the
+    same as membership in {!pending_irqs}, without building the list. *)
+
 val field_irq : t -> int -> unit
 (** Kernel acknowledges (lowers) a device's IRQ line. *)
 
@@ -178,6 +187,8 @@ val equal : t -> t -> bool
     flags, MMU, devices, IRQ lines). *)
 
 val hash : t -> int
+(** Mixes every field {!equal} compares, so equal machines hash alike
+    and machines that differ anywhere almost never do. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact dump: registers, flags, MMU, devices and a memory digest. *)

@@ -32,16 +32,16 @@ let step sys s i =
   (sys.nextop mid).op_apply mid
 
 let reachable ?(limit = 200_000) sys =
-  let module H = Hashtbl in
-  let seen = H.create 1024 in
-  let mem s = List.exists (sys.equal_state s) (H.find_all seen (sys.hash_state s)) in
-  let add s = H.add seen (sys.hash_state s) s in
+  (* hash -> the states seen with that hash; [equal_state] decides *)
+  let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let out = ref [] in
   let count = ref 0 in
   let visit s =
-    if not (mem s) then begin
-      add s;
+    let h = sys.hash_state s in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
+    if not (List.exists (sys.equal_state s) bucket) then begin
+      Hashtbl.replace seen h (s :: bucket);
       incr count;
       if !count > limit then failwith "System.reachable: state limit exceeded";
       out := s :: !out;

@@ -249,6 +249,25 @@ let test_machine_copy_equal () =
   Alcotest.(check bool) "diverged" false (Machine.equal m m2);
   Alcotest.(check int) "copy untouched" 0 (Machine.get_reg m2 0)
 
+(* The hash reads the whole state: machines that differ only at the far
+   end of memory, in the last trap-frame word, or in one device's IRQ
+   line hash apart. A hash that stops after the first few words would
+   put each pair in one bucket. *)
+let test_machine_hash_sees_whole_state () =
+  let base = machine_with [ Isa.Instr Isa.Nop ] in
+  Machine.enter_kernel base ~cause:0 ~vector:0;
+  let differs what mutate =
+    let m = Machine.copy base in
+    mutate m;
+    Alcotest.(check bool) (what ^ ": not equal") false (Machine.equal base m);
+    Alcotest.(check bool) (what ^ ": hashes apart") true (Machine.hash base <> Machine.hash m)
+  in
+  differs "last memory word" (fun m -> Machine.write_phys m (Machine.mem_size m - 1) 1);
+  differs "last frame word" (fun m ->
+      Alcotest.(check bool) "frame writable in kernel mode" true
+        (Machine.store_user m (Machine.frame_base + 9) 1));
+  differs "one device's irq" (fun m -> Machine.raise_irq m 2)
+
 let test_machine_instruction_count_not_state () =
   let a = machine_with [ Isa.Instr Isa.Nop; Isa.Instr (Isa.Br (-2)) ] in
   let b = Machine.copy a in
@@ -289,6 +308,7 @@ let () =
           Alcotest.test_case "xform device" `Quick test_machine_xform_device;
           Alcotest.test_case "device violation" `Quick test_machine_device_violation;
           Alcotest.test_case "copy and equality" `Quick test_machine_copy_equal;
+          Alcotest.test_case "hash sees the whole state" `Quick test_machine_hash_sees_whole_state;
           Alcotest.test_case "instruction count not state" `Quick test_machine_instruction_count_not_state;
         ] );
     ]

@@ -181,6 +181,19 @@ let replay_divergent_exits_1 () =
 let replay_unknown_bug_rejected () =
   check "unknown bug name is an error" true (rushby "refine --replay 1 --bug no-such-bug" <> 0)
 
+(* The assembly kernel has no preemption quantum: every subcommand that
+   takes --scenario and --impl rejects the combination as a usage error *)
+let unsupported_combination_exits_2 sub () =
+  Alcotest.(check int)
+    (sub ^ " --scenario preemptive --impl assembly exits 2")
+    2
+    (rushby (sub ^ " --scenario preemptive --impl assembly"))
+
+(* ... and the whole-catalogue modes skip preemptive there instead of
+   dying on it *)
+let catalogue_on_assembly_exits_0 args () =
+  Alcotest.(check int) "exits 0" 0 (rushby (args ^ " --impl assembly"))
+
 let main () =
   Alcotest.run "refine"
     [
@@ -209,7 +222,18 @@ let main () =
         [
           Alcotest.test_case "divergent replay exits 1" `Quick replay_divergent_exits_1;
           Alcotest.test_case "unknown bug rejected" `Quick replay_unknown_bug_rejected;
-        ] );
+        ]
+        @ List.map
+            (fun sub ->
+              Alcotest.test_case (sub ^ " rejects preemptive on assembly") `Quick
+                (unsupported_combination_exits_2 sub))
+            [ "verify"; "verify-random"; "trace"; "monitor"; "stats"; "fuzz" ]
+        @ [
+            Alcotest.test_case "monitor --smoke on assembly" `Quick
+              (catalogue_on_assembly_exits_0 ("monitor --smoke --corpus " ^ sibling_exe "corpus"));
+            Alcotest.test_case "fuzz --smoke on assembly" `Quick
+              (catalogue_on_assembly_exits_0 "fuzz --smoke --seed 5");
+          ] );
     ]
 
 let () = main ()

@@ -14,9 +14,51 @@ let exhaustive ?bugs (inst : Scenarios.instance) =
   let sys = Sue.to_system ?bugs ~inputs:inst.alphabet inst.cfg in
   Separability.check sys
 
+(* MD5 of [Json.to_string (Separability.report_to_json r)] for every
+   exhaustive check of a catalogue scenario below, on both kernels, clean
+   and with each seeded bug. Failure details print whole states, so these
+   pin which state represents each abstraction bucket and the order of
+   the checks, not only the counts. *)
+let report_digests =
+  [
+    ("microcode pipeline clean", "562c0a548442206461f19c419e09495e");
+    ("microcode interrupt clean", "a3337c772063348ca45b2a9b4b61e87b");
+    ("microcode snfe-micro clean", "1f72d6fc0f0cbedcdccfe376ff349ab5");
+    ("microcode pipeline forget-register-save", "893ca239d5a57ee2b3ae7be18df62547");
+    ("microcode pipeline partition-hole", "badde51f80c24fb05840d042c687f794");
+    ("microcode interrupt misroute-interrupt", "3f553b765123fbaf8eff3ca73066544a");
+    ("microcode interrupt misroute-device-input", "a9d79952f6a7c5ef7162d7391a3933a7");
+    ("microcode pipeline output-leak", "d2f1e4dd9c5327bd6ef329dde0ce3e1e");
+    ("microcode pipeline schedule-on-foreign-state", "91db2f935f1f8209460f42dcc0b31a6b");
+    ("microcode pipeline uncut-channel", "c3e155a39046f20b4666e0ff2b6879fc");
+    ("microcode pipeline input-crosstalk", "dce80950d429e66293bea7bc42a1ade7");
+    ("assembly pipeline clean", "6fb750009de4c9295b7860a79e49fa93");
+    ("assembly interrupt clean", "7d4e52eab63cbbbabf93837448fac0de");
+    ("assembly snfe-micro clean", "b60977d6bd193d5951cd42e4729f8270");
+    ("assembly pipeline forget-register-save", "ef7ecb8408711a9425d6fff5025a9365");
+    ("assembly pipeline partition-hole", "7da80456f6f2de3759bdcd2535772455");
+    ("assembly interrupt misroute-interrupt", "a3770cb3d0e5d898495d3d91145aa7c7");
+    ("assembly interrupt misroute-device-input", "64a169ab24b794c692df7c8be21e8d67");
+    ("assembly pipeline output-leak", "8d385b19a23b29b214cd6ca373064655");
+    ("assembly pipeline schedule-on-foreign-state", "75a299516d77b57a7af76984229eb43d");
+    ("assembly pipeline uncut-channel", "cfa6a07301f27ed9b63e2638e30f262c");
+    ("assembly pipeline input-crosstalk", "f8ffa608fe6eae307e7db95f21e6507c");
+  ]
+
+let check_digest ?bug impl (inst : Scenarios.instance) r =
+  let key =
+    Fmt.str "%a %s %s" Sue.pp_impl impl inst.label
+      (match bug with None -> "clean" | Some b -> Fmt.str "%a" Sue.pp_bug b)
+  in
+  Alcotest.(check string)
+    (key ^ " report digest")
+    (List.assoc key report_digests)
+    (Digest.to_hex (Digest.string (Sep_util.Json.to_string (Separability.report_to_json r))))
+
 (* E1: the six conditions hold exhaustively for the correct kernel. *)
 let test_correct_kernel_verifies (inst : Scenarios.instance) () =
   let r = exhaustive inst in
+  check_digest Sue.Microcode inst r;
   Alcotest.(check bool)
     (Fmt.str "%s verified (%d states)" inst.label r.Separability.states)
     true (Separability.verified r);
@@ -25,6 +67,7 @@ let test_correct_kernel_verifies (inst : Scenarios.instance) () =
 (* E4: each seeded bug is caught, and by the predicted condition. *)
 let test_mutant (e : Mutants.expectation) () =
   let r = Mutants.run e in
+  check_digest ~bug:e.bug Sue.Microcode e.scenario r;
   Alcotest.(check bool) "kernel bug detected" false (Separability.verified r);
   Alcotest.(check bool)
     (Fmt.str "condition %d among %s" e.primary
@@ -211,6 +254,7 @@ let test_assembly_kernel_verifies () =
     (fun (inst : Scenarios.instance) ->
       let sys = Sue.to_system ~impl:Sue.Assembly ~inputs:inst.alphabet inst.cfg in
       let r = Separability.check sys in
+      check_digest Sue.Assembly inst r;
       Alcotest.(check bool)
         (Fmt.str "machine-code kernel verified on %s" inst.label)
         true (Separability.verified r))
@@ -219,8 +263,9 @@ let test_assembly_kernel_verifies () =
 let test_assembly_pipeline_verifies () =
   let inst = Scenarios.pipeline in
   let sys = Sue.to_system ~impl:Sue.Assembly ~inputs:inst.alphabet inst.cfg in
-  Alcotest.(check bool) "machine-code kernel verified on pipeline" true
-    (Separability.verified (Separability.check sys))
+  let r = Separability.check sys in
+  check_digest Sue.Assembly inst r;
+  Alcotest.(check bool) "machine-code kernel verified on pipeline" true (Separability.verified r)
 
 let test_assembly_randomized () =
   let inst = Scenarios.pipeline in
@@ -244,6 +289,7 @@ let test_assembly_mutants_caught () =
           (Sue.to_system ~impl:Sue.Assembly ~bugs:[ e.bug ]
              ~inputs:e.scenario.Scenarios.alphabet e.scenario.Scenarios.cfg)
       in
+      check_digest ~bug:e.bug Sue.Assembly e.scenario r;
       Alcotest.(check bool)
         (Fmt.str "assembly kernel: %a -> condition %d" Sue.pp_bug e.bug e.primary)
         true (Mutants.detected e r))
@@ -461,6 +507,7 @@ let () =
         [
           Alcotest.test_case "pipeline" `Slow (test_correct_kernel_verifies Scenarios.pipeline);
           Alcotest.test_case "interrupt" `Quick (test_correct_kernel_verifies Scenarios.interrupt);
+          Alcotest.test_case "snfe-micro" `Quick (test_correct_kernel_verifies Scenarios.snfe_micro);
           Alcotest.test_case "scaled" `Quick test_scaled_exhaustive;
           Alcotest.test_case "report counts" `Quick test_report_counts;
         ] );

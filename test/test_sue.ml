@@ -605,6 +605,54 @@ let test_copy_equal_hash () =
   ignore (Sue.step t [ (0, 1) ]);
   Alcotest.(check bool) "diverged" false (Sue.equal t t2)
 
+(* Over whole reachable sets, on both kernels: the state hash agrees with
+   copies and separates states (the checker's dedup is then one bucket
+   probe, not a scan), and per colour the abstract hash tells apart
+   exactly the Phi images [AR.equal] tells apart. *)
+let test_reachable_hashes () =
+  let module System = Sep_model.System in
+  List.iter
+    (fun (impl, (inst : Sep_core.Scenarios.instance)) ->
+      let label = Fmt.str "%s (%a)" inst.label Sue.pp_impl impl in
+      let sys = Sue.to_system ~impl ~inputs:inst.alphabet inst.cfg in
+      let states = System.reachable sys in
+      List.iter
+        (fun s ->
+          if Sue.hash (Sue.copy s) <> Sue.hash s then Alcotest.failf "%s: copy hashes apart" label)
+        states;
+      let hashes = List.map Sue.hash states in
+      let distinct = List.length (List.sort_uniq Int.compare hashes) in
+      let buckets = Hashtbl.create 1024 in
+      List.iter
+        (fun h -> Hashtbl.replace buckets h (1 + Option.value ~default:0 (Hashtbl.find_opt buckets h)))
+        hashes;
+      let largest = Hashtbl.fold (fun _ n m -> max n m) buckets 0 in
+      Alcotest.(check bool)
+        (Fmt.str "%s: largest bucket %d <= 2" label largest)
+        true (largest <= 2);
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d distinct hashes over %d states" label distinct (List.length states))
+        true
+        (100 * distinct >= 99 * List.length states);
+      List.iter
+        (fun c ->
+          let images = List.map (sys.System.abstract c) states in
+          (* [AR.equal] is structural equality, so structural order's
+             classes are its classes: counted without trusting the hash *)
+          let classes = List.length (List.sort_uniq compare images) in
+          let hashed = List.sort_uniq compare (List.map (fun a -> (AR.hash a, a)) images) in
+          Alcotest.(check int)
+            (Fmt.str "%s %a: one hash per image" label Colour.pp c)
+            classes (List.length hashed);
+          Alcotest.(check int)
+            (Fmt.str "%s %a: distinct abstract hashes = distinct images" label Colour.pp c)
+            classes
+            (List.length (List.sort_uniq Int.compare (List.map fst hashed))))
+        sys.System.colours)
+    (List.concat_map
+       (fun impl -> List.map (fun inst -> (impl, inst)) Sep_core.Scenarios.[ pipeline; interrupt; snfe_micro ])
+       [ Sue.Microcode; Sue.Assembly ])
+
 (* The mutant catalogue must stay in lockstep with the bug list: every
    seeded bug has an expectation, and every one of the six conditions is
    some mutant's predicted primary — otherwise a condition has no
@@ -707,6 +755,7 @@ let () =
           Alcotest.test_case "device slot" `Quick test_device_slot;
           Alcotest.test_case "scenarios wellformed" `Quick test_scenarios_wellformed;
           Alcotest.test_case "copy equal hash" `Quick test_copy_equal_hash;
+          Alcotest.test_case "reachable hashes" `Quick test_reachable_hashes;
           Alcotest.test_case "mutant catalogue coverage" `Quick
             test_mutant_catalogue_covers_bugs_and_conditions;
         ] );
