@@ -51,6 +51,11 @@ diff "$tmpdir/inject-j1.jsonl" "$tmpdir/inject-j2.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 1 --json "$tmpdir/fuzz-j1.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 2 --json "$tmpdir/fuzz-j2.jsonl"
 diff "$tmpdir/fuzz-j1.jsonl" "$tmpdir/fuzz-j2.jsonl"
+# The assembly kernel runs as machine code on the interpreter the domains
+# share, so its fuzz report is diffed across job counts too.
+dune exec bin/rushby.exe -- fuzz --smoke --seed 5 --impl assembly -j 1 --json "$tmpdir/fuzz-asm-j1.jsonl"
+dune exec bin/rushby.exe -- fuzz --smoke --seed 5 --impl assembly -j 2 --json "$tmpdir/fuzz-asm-j2.jsonl"
+diff "$tmpdir/fuzz-asm-j1.jsonl" "$tmpdir/fuzz-asm-j2.jsonl"
 dune exec bin/rushby.exe -- federate --smoke --chaos -j 1 --json "$tmpdir/fed-j1.jsonl"
 dune exec bin/rushby.exe -- federate --smoke --chaos -j 2 --json "$tmpdir/fed-j2.jsonl"
 diff "$tmpdir/fed-j1.jsonl" "$tmpdir/fed-j2.jsonl"

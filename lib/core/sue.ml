@@ -336,15 +336,15 @@ let save_area_ok t r = read_kw t (t.layout.save_base.(r) + off_checksum) = save_
    one breach is reported once, not on every subsequent switch. *)
 let guard_sweep t =
   let breaches = ref 0 in
-  Array.iter
-    (fun a ->
-      if read_kw t a <> guard_pattern then begin
-        incr breaches;
-        t.counts.ct_guard_breaches <- t.counts.ct_guard_breaches + 1;
-        record_fault t (Guard_breach a);
-        write_kw t a guard_pattern
-      end)
-    t.layout.guards;
+  for i = 0 to Array.length t.layout.guards - 1 do
+    let a = t.layout.guards.(i) in
+    if read_kw t a <> guard_pattern then begin
+      incr breaches;
+      t.counts.ct_guard_breaches <- t.counts.ct_guard_breaches + 1;
+      record_fault t (Guard_breach a);
+      write_kw t a guard_pattern
+    end
+  done;
   !breaches
 
 let flags_word (z, n) = (if z then 1 else 0) lor (if n then 2 else 0)
@@ -352,30 +352,32 @@ let flags_of_word w = (w land 1 <> 0, w land 2 <> 0)
 
 (* -- Checkpoints ----------------------------------------------------------- *)
 
-let checkpoint_sum ~save ~part =
-  let acc = ref checksum_salt in
-  let feed w =
+let feed_words acc words =
+  let acc = ref acc in
+  for i = 0 to Array.length words - 1 do
     let rotated = ((!acc lsl 1) lor (!acc lsr 15)) land 0xffff in
-    acc := rotated lxor (w land 0xffff)
-  in
-  Array.iter feed save;
-  Array.iter feed part;
+    acc := rotated lxor (words.(i) land 0xffff)
+  done;
   !acc
+
+let checkpoint_sum ~save ~part = feed_words (feed_words checksum_salt save) part
 
 (* Capture regime [r]. [~live] reads the processor registers (the regime is
    current and running); otherwise the save area is the authority. The
    partition is always read from memory. *)
 let capture_checkpoint t r ~live =
-  let base = t.layout.save_base.(r) in
   let save =
-    Array.init (off_flags + 1) (fun i ->
-        if live then
-          if i < Isa.num_regs then Machine.get_reg t.m i
-          else flags_word (Machine.get_flags t.m)
-        else read_kw t (base + i))
+    if live then begin
+      let save = Array.make (off_flags + 1) 0 in
+      for i = 0 to Isa.num_regs - 1 do
+        save.(i) <- Machine.get_reg t.m i
+      done;
+      save.(off_flags) <- flags_word (Machine.get_flags t.m);
+      save
+    end
+    else Machine.read_phys_slice t.m t.layout.save_base.(r) (off_flags + 1)
   in
-  let pb = t.layout.part_base.(r) and ps = t.layout.part_size.(r) in
-  let part = Array.init ps (fun i -> Machine.read_phys t.m (pb + i)) in
+  let part = Machine.read_phys_slice t.m t.layout.part_base.(r) t.layout.part_size.(r) in
   { ck_save = save; ck_part = part; ck_sum = checkpoint_sum ~save ~part }
 
 let take_checkpoint t r ~live =
@@ -849,16 +851,17 @@ let load_context t r =
   Machine.set_mmu t.m ~base:t.layout.part_base.(r) ~limit:t.layout.part_size.(r)
     ~dev_slots:t.layout.dev_slots.(r)
 
-let next_runnable t from =
+(* The first runnable regime after [from] in round-robin order ([from]
+   itself last), or [-1] when none is. *)
+let rec runnable_after t from k =
   let n = t.layout.nregs in
-  let rec scan k =
-    if k > n then None
-    else begin
-      let r = (from + k) mod n in
-      if get_status t r = status_runnable then Some r else scan (k + 1)
-    end
-  in
-  scan 1
+  if k > n then -1
+  else begin
+    let r = (from + k) mod n in
+    if get_status t r = status_runnable then r else runnable_after t from (k + 1)
+  end
+
+let next_runnable t from = runnable_after t from 1
 
 (* Context switch with the fail-safe restore path: a candidate whose save
    area no longer matches its checksum is parked (and the corruption
@@ -899,9 +902,8 @@ let switch_to t r =
         record_fault t (Save_area_corrupt t.layout.colours.(r));
         t.counts.ct_fault_parks <- t.counts.ct_fault_parks + 1;
         set_status t r status_parked;
-        match next_runnable t r with
-        | Some r' -> settle r'
-        | None -> ()
+        let r' = next_runnable t r in
+        if r' >= 0 then settle r'
       end
     in
     settle r
@@ -909,9 +911,8 @@ let switch_to t r =
 
 let swap_away t =
   let cur = current_index t in
-  match next_runnable t cur with
-  | Some r when r <> cur -> switch_to t r
-  | Some _ | None -> ()
+  let r = next_runnable t cur in
+  if r >= 0 && r <> cur then switch_to t r
 
 (* -- Recovery: regime restart and kernel warm reboot ------------------------ *)
 
@@ -1003,12 +1004,12 @@ let warm_reboot t =
       reset_countdown t
     end
     else begin
-      match next_runnable t cur with
-      | Some r ->
+      let r = next_runnable t cur in
+      if r >= 0 then begin
         set_current_index t r;
         load_context t r;
         reset_countdown t
-      | None -> ()
+      end
     end
   end;
   List.rev !restored
@@ -1069,29 +1070,30 @@ let recv_area t ci = if ci.ci_cut && not (has_bug t Uncut_channel) then ci.ci_ar
    specification): the second buffer when the channel is cut. *)
 let intended_recv_area ci = if ci.ci_cut then ci.ci_area_b else ci.ci_area_a
 
+(* SEND and RECV return their result in R2. *)
+let set_result t v = Machine.set_reg t.m 2 v
+
 let do_send t cur =
-  let set_result v = Machine.set_reg t.m 2 v in
   match find_chan t (Machine.get_reg t.m 0) with
   | Some ci when ci.ci_sender = cur ->
     if ring_push t ci.ci_area_a ci.ci_capacity (Machine.get_reg t.m 1) then begin
       t.counts.ct_sent.(cur) <- t.counts.ct_sent.(cur) + 1;
-      set_result 1
+      set_result t 1
     end
-    else set_result 0
-  | Some _ | None -> set_result 2
+    else set_result t 0
+  | Some _ | None -> set_result t 2
 
 let do_recv t cur =
-  let set_result v = Machine.set_reg t.m 2 v in
   match find_chan t (Machine.get_reg t.m 0) with
   | Some ci when ci.ci_receiver = cur -> begin
     match ring_pop t (recv_area t ci) ci.ci_capacity with
     | Some w ->
       Machine.set_reg t.m 1 w;
       t.counts.ct_recvd.(cur) <- t.counts.ct_recvd.(cur) + 1;
-      set_result 1
-    | None -> set_result 0
+      set_result t 1
+    | None -> set_result t 0
   end
-  | Some _ | None -> set_result 2
+  | Some _ | None -> set_result t 2
 
 (* -- Driving the assembly kernel ------------------------------------------- *)
 
@@ -1130,23 +1132,22 @@ let fault_reason = function
 (* Run kernel machine code until it returns to user mode ([Rti]) or stalls
    ([Halt] with nobody runnable). Fuel guards against a runaway kernel —
    exhausting it is a kernel bug, not a regime behaviour, and panics. *)
+let rec run_kernel_code t fuel =
+  let fuel = fuel - 1 in
+  if fuel <= 0 then kernel_panic t "kernel code did not terminate"
+  else begin
+    t.counts.ct_kernel_instrs <- t.counts.ct_kernel_instrs + 1;
+    match Machine.step_user t.m with
+    | Machine.Stepped -> run_kernel_code t fuel
+    | Machine.Returned -> ()
+    | Machine.Waiting -> ()
+    | Machine.Trapped n -> kernel_panic t (Fmt.str "trap %d inside the kernel" n)
+    | Machine.Faulted f -> kernel_panic t (Fmt.str "fault inside the kernel: %s" (fault_reason f))
+  end
+
 let run_kernel t =
-  let fuel = ref 20_000 in
   let before = current_index t in
-  let rec loop () =
-    decr fuel;
-    if !fuel <= 0 then kernel_panic t "kernel code did not terminate"
-    else begin
-      t.counts.ct_kernel_instrs <- t.counts.ct_kernel_instrs + 1;
-      match Machine.step_user t.m with
-      | Machine.Stepped -> loop ()
-      | Machine.Returned -> ()
-      | Machine.Waiting -> ()
-      | Machine.Trapped n -> kernel_panic t (Fmt.str "trap %d inside the kernel" n)
-      | Machine.Faulted f -> kernel_panic t (Fmt.str "fault inside the kernel: %s" (fault_reason f))
-    end
-  in
-  loop ();
+  run_kernel_code t 20_000;
   if current_index t <> before then begin
     t.counts.ct_switches <- t.counts.ct_switches + 1;
     if Sep_obs.Trace.enabled () then
@@ -1165,45 +1166,50 @@ let enter_and_run t cause =
 
 (* -- The INPUT stage ------------------------------------------------------ *)
 
+let latch t d w =
+  let d = if has_bug t Misroute_device_input then (d + 1) mod Array.length t.layout.dev_kinds else d in
+  match t.layout.dev_kinds.(d) with
+  | Machine.Rx ->
+    let w = if has_bug t Input_crosstalk then Word.logxor w (Machine.get_reg t.m 0) else w in
+    t.counts.ct_inputs_latched <- t.counts.ct_inputs_latched + 1;
+    Machine.device_input t.m d w
+  | Machine.Tx | Machine.Xform _ -> ()
+
+let rec latch_all t = function
+  | [] -> ()
+  | (d, w) :: rest ->
+    latch t d w;
+    latch_all t rest
+
+(* Field a raised interrupt: wake the waiting owner. *)
+let field t d =
+  Machine.field_irq t.m d;
+  t.counts.ct_irqs_forwarded <- t.counts.ct_irqs_forwarded + 1;
+  let owner = t.layout.dev_owner.(d) in
+  let owner = if has_bug t Misroute_interrupt then (owner + 1) mod t.layout.nregs else owner in
+  if get_status t owner = status_waiting then begin
+    t.counts.ct_wakes <- t.counts.ct_wakes + 1;
+    set_status t owner status_runnable
+  end
+
 let deliver_inputs t arrivals =
   (* Busy Tx wires complete their transmission. *)
-  ignore (Machine.device_outputs t.m);
-  let ndevs = Array.length t.layout.dev_kinds in
-  let latch (d, w) =
-    let d = if has_bug t Misroute_device_input then (d + 1) mod ndevs else d in
-    match t.layout.dev_kinds.(d) with
-    | Machine.Rx ->
-      let w = if has_bug t Input_crosstalk then Word.logxor w (Machine.get_reg t.m 0) else w in
-      t.counts.ct_inputs_latched <- t.counts.ct_inputs_latched + 1;
-      Machine.device_input t.m d w
-    | Machine.Tx | Machine.Xform _ -> ()
-  in
-  List.iter latch arrivals;
-  (* Field the raised interrupts: wake waiting owners. *)
-  let field d =
-    Machine.field_irq t.m d;
-    t.counts.ct_irqs_forwarded <- t.counts.ct_irqs_forwarded + 1;
-    let owner = t.layout.dev_owner.(d) in
-    let owner = if has_bug t Misroute_interrupt then (owner + 1) mod t.layout.nregs else owner in
-    if get_status t owner = status_waiting then begin
-      t.counts.ct_wakes <- t.counts.ct_wakes + 1;
-      set_status t owner status_runnable
-    end
-  in
-  List.iter field (Machine.pending_irqs t.m);
+  Machine.complete_transmissions t.m;
+  latch_all t arrivals;
+  for d = 0 to Array.length t.layout.dev_kinds - 1 do
+    if Machine.irq_pending t.m d then field t d
+  done;
   (* If the processor was stalled, hand it to a woken regime. For the
      assembly kernel, the stall is machine code halted inside its scan
      loop: the interrupt resumes the kernel, which rescans and returns
      into the woken regime. *)
   match t.impl with
-  | Microcode -> begin
+  | Microcode ->
     let cur = current_index t in
     if get_status t cur <> status_runnable then begin
-      match next_runnable t cur with
-      | Some r -> switch_to t r
-      | None -> ()
+      let r = next_runnable t cur in
+      if r >= 0 then switch_to t r
     end
-  end
   | Assembly ->
     if Machine.mode t.m = Machine.Kernel then begin
       let any_runnable =
@@ -1220,15 +1226,16 @@ let bug_stalls t cur =
 
 (* A level-triggered interrupt request: an Rx device holding an unread
    word keeps its line asserted. *)
-let rx_pending t r =
-  Array.exists
-    (fun d ->
-      t.layout.dev_owner.(d) = r
-      &&
-      match t.layout.dev_kinds.(d) with
-      | Machine.Rx -> snd (Machine.device_regs t.m d) = 1
-      | Machine.Tx | Machine.Xform _ -> false)
-    (Array.init (Array.length t.layout.dev_kinds) Fun.id)
+let rx_holds_word t d =
+  match t.layout.dev_kinds.(d) with
+  | Machine.Rx -> Machine.device_status t.m d = 1
+  | Machine.Tx | Machine.Xform _ -> false
+
+let rec rx_pending_from t r d =
+  d < Array.length t.layout.dev_kinds
+  && ((t.layout.dev_owner.(d) = r && rx_holds_word t d) || rx_pending_from t r (d + 1))
+
+let rx_pending t r = rx_pending_from t r 0
 
 (* Trap instants carry the trapping colour and trap number; SWAP (trap 0)
    gets its own event name since it is the scheduling boundary the causal
@@ -1249,25 +1256,15 @@ let exec_op_microcode t =
     t.counts.ct_stalls <- t.counts.ct_stalls + 1
   else begin
     t.counts.ct_instrs.(cur) <- t.counts.ct_instrs.(cur) + 1;
-    (* Output-commit fence: any instruction whose effect escapes the regime
-       — a device register changing (a Tx write arming a transmission, an
-       Rx read consuming a latched word) or a successful channel transfer —
-       is followed by a checkpoint. A later restart then replays only pure
-       local computation, never duplicating or losing an observable effect. *)
-    let dev_regs_before =
-      Array.map (fun d -> Machine.device_regs t.m d) t.layout.dev_slots.(cur)
-    in
-    let checkpoint_if_device_effect () =
-      let changed =
-        Array.exists
-          (fun i -> Machine.device_regs t.m t.layout.dev_slots.(cur).(i) <> dev_regs_before.(i))
-          (Array.init (Array.length dev_regs_before) Fun.id)
-      in
-      if changed then take_checkpoint t cur ~live:true
-    in
     match Machine.step_user t.m with
     | Machine.Stepped -> begin
-      checkpoint_if_device_effect ();
+      (* Output-commit fence: any instruction whose effect escapes the
+         regime — one of its device registers changing (a Tx write arming
+         a transmission, an Rx read consuming a latched word) or a
+         successful channel transfer — is followed by a checkpoint. A later
+         restart then replays only pure local computation, never
+         duplicating or losing an observable effect. *)
+      if Machine.devices_changed t.m t.layout.dev_slots.(cur) then take_checkpoint t cur ~live:true;
       (* preemptive configurations: charge the quantum and, when it is
          spent, take the processor back *)
       match (t.cfg.Config.quantum, t.watchdog) with
@@ -1332,9 +1329,6 @@ let exec_op_assembly t =
       t.counts.ct_stalls <- t.counts.ct_stalls + 1
     else begin
       t.counts.ct_instrs.(cur) <- t.counts.ct_instrs.(cur) + 1;
-      (* The kernel machine code performs the channel copy itself; its
-         effect is read back from the trapping regime's saved R2. *)
-      let chan_result () = read_kw t (t.layout.save_base.(cur) + 2) in
       match Machine.step_user t.m with
       | Machine.Stepped -> ()
       | Machine.Trapped n when n <= 2 ->
@@ -1342,8 +1336,12 @@ let exec_op_assembly t =
         if n = 0 then t.counts.ct_swaps.(cur) <- t.counts.ct_swaps.(cur) + 1;
         trace_trap t cur n;
         enter_and_run t n;
-        if n = 1 && chan_result () = 1 then t.counts.ct_sent.(cur) <- t.counts.ct_sent.(cur) + 1;
-        if n = 2 && chan_result () = 1 then t.counts.ct_recvd.(cur) <- t.counts.ct_recvd.(cur) + 1
+        (* The kernel machine code performs the channel copy itself; its
+           effect is read back from the trapping regime's saved R2. *)
+        if n > 0 && read_kw t (t.layout.save_base.(cur) + 2) = 1 then begin
+          if n = 1 then t.counts.ct_sent.(cur) <- t.counts.ct_sent.(cur) + 1
+          else t.counts.ct_recvd.(cur) <- t.counts.ct_recvd.(cur) + 1
+        end
       | Machine.Trapped _ -> enter_and_run t Machine.cause_bad_trap
       | Machine.Waiting ->
         (* WAIT falls through on an asserted Rx line, as in microcode *)
@@ -1354,13 +1352,31 @@ let exec_op_assembly t =
 
 let span_exec = Sep_obs.Span.make "sue.exec_op"
 
+let exec_op_impl t =
+  match t.impl with
+  | Microcode -> exec_op_microcode t
+  | Assembly -> exec_op_assembly t
+
 let exec_op t =
-  Sep_obs.Span.time span_exec (fun () ->
-      match t.impl with
-      | Microcode -> exec_op_microcode t
-      | Assembly -> exec_op_assembly t)
+  if Sep_obs.Span.enabled () then Sep_obs.Span.time span_exec (fun () -> exec_op_impl t)
+  else exec_op_impl t
 
 (* -- Output observation --------------------------------------------------- *)
+
+(* The busy Tx wires from device [d] down, consed onto [acc]: built from
+   the top so the list comes out in device order, and [[]] when no wire is
+   busy. *)
+let rec busy_wires t leak d acc =
+  if d < 0 then acc
+  else begin
+    let acc =
+      match t.layout.dev_kinds.(d) with
+      | Machine.Tx when Machine.device_status t.m d = 1 ->
+        (d, Word.logor (Machine.device_data t.m d) leak) :: acc
+      | Machine.Tx | Machine.Rx | Machine.Xform _ -> acc
+    in
+    busy_wires t leak (d - 1) acc
+  end
 
 let outputs t =
   let leak =
@@ -1371,16 +1387,7 @@ let outputs t =
     end
     else 0
   in
-  let out = ref [] in
-  Array.iteri
-    (fun d kind ->
-      match kind with
-      | Machine.Tx ->
-        let data, status = Machine.device_regs t.m d in
-        if status = 1 then out := (d, Word.logor data leak) :: !out
-      | Machine.Rx | Machine.Xform _ -> ())
-    t.layout.dev_kinds;
-  List.rev !out
+  busy_wires t leak (Array.length t.layout.dev_kinds - 1) []
 
 let step t arrivals =
   if Sep_obs.Trace.enabled () then
@@ -1466,10 +1473,8 @@ let peek_fetch t r pc =
     let off = pc - Machine.device_space in
     let slot = off lsr 1 and is_status = off land 1 = 1 in
     let slots = t.layout.dev_slots.(r) in
-    if slot < Array.length slots then begin
-      let data, status = Machine.device_regs t.m slots.(slot) in
-      Some (if is_status then status else data)
-    end
+    if slot < Array.length slots then
+      Some (if is_status then Machine.device_status t.m slots.(slot) else Machine.device_data t.m slots.(slot))
     else None
   end
   else None

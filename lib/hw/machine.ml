@@ -33,6 +33,20 @@ type device = {
 
 type mmu_state = { mutable base : int; mutable limit : int; mutable dev_slots : int array }
 
+(* The devices the last [step_user] (or [store_user]) touched: the first
+   touch of each device, with its (data, status) before that touch. One
+   instruction touches at most two devices, one on the fetch and one on a
+   load or store. *)
+type touches = {
+  mutable count : int;
+  mutable dev0 : int;
+  mutable data0 : int;
+  mutable status0 : int;
+  mutable dev1 : int;
+  mutable data1 : int;
+  mutable status1 : int;
+}
+
 type t = {
   mem : int array;
   regs : int array;
@@ -44,6 +58,7 @@ type t = {
   mutable cpu_mode : mode;
   frame : int array;  (* 8 registers, flags, cause *)
   mmu_shadow : int array;  (* base, limit, slot count, 8 slots *)
+  touched : touches;  (* bookkeeping, like [instructions]: not state *)
 }
 
 let device_space = 0x8000
@@ -60,6 +75,8 @@ let cause_wait = 4
 let cause_fault = 5
 let cause_resched = 6
 
+let no_touches () = { count = 0; dev0 = 0; data0 = 0; status0 = 0; dev1 = 0; data1 = 0; status1 = 0 }
+
 let create ~mem_words ~devices =
   assert (mem_words > 0 && mem_words <= device_space);
   let make_device kind = { kind; data = 0; status = 0; irq = false } in
@@ -74,6 +91,7 @@ let create ~mem_words ~devices =
     cpu_mode = User;
     frame = Array.make frame_words 0;
     mmu_shadow = Array.make mmu_words 0;
+    touched = no_touches ();
   }
 
 let mem_size t = Array.length t.mem
@@ -100,11 +118,16 @@ let set_flags t (z, n) =
   t.flag_z <- z;
   t.flag_n <- n
 
+(* The live slot array is private to its machine ([create], [copy],
+   [set_mmu] and [mmu] never share it), so slots of an unchanged count
+   are rewritten in place. *)
 let set_mmu t ~base ~limit ~dev_slots =
   assert (base >= 0 && limit >= 0 && base + limit <= Array.length t.mem);
   t.mm.base <- base;
   t.mm.limit <- limit;
-  t.mm.dev_slots <- Array.copy dev_slots
+  let n = Array.length dev_slots in
+  if Array.length t.mm.dev_slots = n then Array.blit dev_slots 0 t.mm.dev_slots 0 n
+  else t.mm.dev_slots <- Array.copy dev_slots
 
 let mmu t = (t.mm.base, t.mm.limit, Array.copy t.mm.dev_slots)
 
@@ -125,17 +148,8 @@ let device_input t d w =
   dev.status <- 1;
   dev.irq <- true
 
-let device_outputs t =
-  let out = ref [] in
-  Array.iteri
-    (fun i dev ->
-      match dev.kind with
-      | Tx when dev.status = 1 ->
-        out := (i, dev.data) :: !out;
-        dev.status <- 0
-      | Tx | Rx | Xform _ -> ())
-    t.devices;
-  List.rev !out
+let device_data t d = t.devices.(d).data
+let device_status t d = t.devices.(d).status
 
 let device_regs t d =
   let dev = t.devices.(d) in
@@ -146,10 +160,13 @@ let set_device_regs t d ~data ~status =
   dev.data <- Word.of_int data;
   dev.status <- Word.of_int status
 
-let pending_irqs t =
-  let out = ref [] in
-  Array.iteri (fun i dev -> if dev.irq then out := i :: !out) t.devices;
-  List.rev !out
+let complete_transmissions t =
+  for d = 0 to Array.length t.devices - 1 do
+    let dev = t.devices.(d) in
+    match dev.kind with
+    | Tx when dev.status = 1 -> dev.status <- 0
+    | Tx | Rx | Xform _ -> ()
+  done
 
 let irq_pending t d = t.devices.(d).irq
 
@@ -159,60 +176,69 @@ let field_irq t d = t.devices.(d).irq <- false
    spurious or duplicated interrupt, as injected by fault campaigns. *)
 let raise_irq t d = t.devices.(d).irq <- true
 
+(* -- The device-touch record ------------------------------------------------ *)
+
+(* Keep device [d]'s registers as they were before its first touch in this
+   instruction; a later touch of the same device changes nothing here. *)
+let touch t d =
+  let tc = t.touched and dev = t.devices.(d) in
+  if tc.count = 0 then begin
+    tc.dev0 <- d;
+    tc.data0 <- dev.data;
+    tc.status0 <- dev.status;
+    tc.count <- 1
+  end
+  else if tc.count = 1 && tc.dev0 <> d then begin
+    tc.dev1 <- d;
+    tc.data1 <- dev.data;
+    tc.status1 <- dev.status;
+    tc.count <- 2
+  end
+
+let rec mem_int (a : int array) x i = i < Array.length a && (a.(i) = x || mem_int a x (i + 1))
+
+(* Whether device [d], one of [ds], no longer holds (data, status). *)
+let differs t ds d data status =
+  let dev = t.devices.(d) in
+  (dev.data <> data || dev.status <> status) && mem_int ds d 0
+
+let devices_changed t ds =
+  let tc = t.touched in
+  (tc.count >= 1 && differs t ds tc.dev0 tc.data0 tc.status0)
+  || (tc.count = 2 && differs t ds tc.dev1 tc.data1 tc.status1)
+
 (* Virtual-address access through the MMU.
 
    Below [device_space]: base/limit relocation into the regime partition.
    At/above [device_space]: pairs of words address the regime's device
    slots — slot k's data register at [device_space + 2k], status at
-   [device_space + 2k + 1]. *)
+   [device_space + 2k + 1].
 
-type translated =
-  | Mem of int
-  | Dev of int * bool  (* device id, [true] = status register *)
-  | Frame of int  (* word offset into the trap frame *)
-  | Mmuctl of int  (* word offset into the MMU control registers *)
-  | Violation
+   [load] and [store] resolve an address straight to the memory word,
+   device register, trap-frame word or MMU control word it names. Words
+   are 16-bit, so [load] answers a violation with [-1]. *)
 
-let translate t vaddr =
-  if vaddr < 0 then Violation
-  else begin
-    match t.cpu_mode with
-    | User ->
-      if vaddr < device_space then begin
-        if vaddr < t.mm.limit then Mem (t.mm.base + vaddr) else Violation
-      end
-      else begin
-        let off = vaddr - device_space in
-        let slot = off lsr 1 and is_status = off land 1 = 1 in
-        if slot < Array.length t.mm.dev_slots then Dev (t.mm.dev_slots.(slot), is_status)
-        else Violation
-      end
-    | Kernel ->
-      (* physical addressing plus the privileged register files *)
-      if vaddr < Array.length t.mem then Mem vaddr
-      else if vaddr >= frame_base && vaddr < frame_base + frame_words then
-        Frame (vaddr - frame_base)
-      else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then Mmuctl (vaddr - mmu_base)
-      else Violation
-  end
+let violation = -1
 
 (* Re-program the live MMU from the shadow registers, clamping to the
-   physical memory so kernel bugs cannot crash the simulator itself. *)
+   physical memory so kernel bugs cannot crash the simulator itself. A slot
+   id past the last device names device 0; on a machine without devices
+   no slot is granted at all. *)
 let apply_mmu_shadow t =
-  let mem = Array.length t.mem in
+  let mem = Array.length t.mem and ndevs = Array.length t.devices in
   let base = min t.mmu_shadow.(0) mem in
   let limit = min t.mmu_shadow.(1) (mem - base) in
-  let count = min t.mmu_shadow.(2) 8 in
-  let slots =
-    Array.init count (fun k ->
-        let d = t.mmu_shadow.(3 + k) in
-        if d < Array.length t.devices then d else 0)
-  in
+  let count = if ndevs = 0 then 0 else min t.mmu_shadow.(2) 8 in
+  if Array.length t.mm.dev_slots <> count then t.mm.dev_slots <- Array.make count 0;
+  for k = 0 to count - 1 do
+    let d = t.mmu_shadow.(3 + k) in
+    t.mm.dev_slots.(k) <- (if d < ndevs then d else 0)
+  done;
   t.mm.base <- base;
-  t.mm.limit <- limit;
-  t.mm.dev_slots <- slots
+  t.mm.limit <- limit
 
 let dev_read t d ~status =
+  touch t d;
   let dev = t.devices.(d) in
   if status then dev.status
   else begin
@@ -225,6 +251,7 @@ let dev_read t d ~status =
   end
 
 let dev_write t d ~status w =
+  touch t d;
   let dev = t.devices.(d) in
   if status then dev.status <- w
   else begin
@@ -238,57 +265,104 @@ let dev_write t d ~status w =
     | Rx -> dev.data <- w
   end
 
-let load_user t vaddr =
-  match translate t vaddr with
-  | Mem a -> Some t.mem.(a)
-  | Dev (d, status) -> Some (dev_read t d ~status)
-  | Frame i -> Some t.frame.(i)
-  | Mmuctl i -> Some t.mmu_shadow.(i)
-  | Violation -> None
+let load t vaddr =
+  if vaddr < 0 then violation
+  else begin
+    match t.cpu_mode with
+    | User ->
+      if vaddr < device_space then begin
+        if vaddr < t.mm.limit then t.mem.(t.mm.base + vaddr) else violation
+      end
+      else begin
+        let off = vaddr - device_space in
+        let slot = off lsr 1 in
+        if slot < Array.length t.mm.dev_slots then
+          dev_read t t.mm.dev_slots.(slot) ~status:(off land 1 = 1)
+        else violation
+      end
+    | Kernel ->
+      (* physical addressing plus the privileged register files *)
+      if vaddr < Array.length t.mem then t.mem.(vaddr)
+      else if vaddr >= frame_base && vaddr < frame_base + frame_words then
+        t.frame.(vaddr - frame_base)
+      else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then t.mmu_shadow.(vaddr - mmu_base)
+      else violation
+  end
+
+let store t vaddr w =
+  if vaddr < 0 then false
+  else begin
+    match t.cpu_mode with
+    | User ->
+      if vaddr < device_space then begin
+        if vaddr < t.mm.limit then begin
+          t.mem.(t.mm.base + vaddr) <- Word.of_int w;
+          true
+        end
+        else false
+      end
+      else begin
+        let off = vaddr - device_space in
+        let slot = off lsr 1 in
+        if slot < Array.length t.mm.dev_slots then begin
+          dev_write t t.mm.dev_slots.(slot) ~status:(off land 1 = 1) (Word.of_int w);
+          true
+        end
+        else false
+      end
+    | Kernel ->
+      if vaddr < Array.length t.mem then begin
+        t.mem.(vaddr) <- Word.of_int w;
+        true
+      end
+      else if vaddr >= frame_base && vaddr < frame_base + frame_words then begin
+        t.frame.(vaddr - frame_base) <- Word.of_int w;
+        true
+      end
+      else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then begin
+        t.mmu_shadow.(vaddr - mmu_base) <- Word.of_int w;
+        apply_mmu_shadow t;
+        true
+      end
+      else false
+  end
 
 let store_user t vaddr w =
-  match translate t vaddr with
-  | Mem a ->
-    t.mem.(a) <- Word.of_int w;
-    true
-  | Dev (d, status) ->
-    dev_write t d ~status (Word.of_int w);
-    true
-  | Frame i ->
-    t.frame.(i) <- Word.of_int w;
-    true
-  | Mmuctl i ->
-    t.mmu_shadow.(i) <- Word.of_int w;
-    apply_mmu_shadow t;
-    true
-  | Violation -> false
+  t.touched.count <- 0;
+  store t vaddr w
 
 let set_zn t w =
   t.flag_z <- Word.is_zero w;
   t.flag_n <- Word.is_negative w
 
+let bump t pc = t.regs.(Isa.pc_reg) <- Word.add pc 1
+
+let alu t pc dst v =
+  set_zn t v;
+  t.regs.(dst) <- v;
+  bump t pc;
+  Stepped
+
+let access_fault t vaddr =
+  if t.cpu_mode = User && vaddr >= device_space then Faulted (Device_violation vaddr)
+  else Faulted (Mem_violation vaddr)
+
 let step_user t =
+  t.touched.count <- 0;
   let pc = t.regs.(Isa.pc_reg) in
-  match load_user t pc with
-  | None -> Faulted (Mem_violation pc)
-  | Some insn_word -> begin
+  let insn_word = load t pc in
+  if insn_word = violation then Faulted (Mem_violation pc)
+  else begin
     match Isa.decode insn_word with
     | None -> Faulted (Illegal_instruction insn_word)
     | Some insn ->
       t.instructions <- t.instructions + 1;
-      let bump () = t.regs.(Isa.pc_reg) <- Word.add pc 1 in
-      let alu dst v =
-        set_zn t v;
-        t.regs.(dst) <- v;
-        bump ();
-        Stepped
-      in
       (match insn with
       | Isa.Nop ->
-        bump ();
+        bump t pc;
         Stepped
       | Isa.Halt ->
-        bump ();
+        bump t pc;
         Waiting
       | Isa.Rti ->
         if t.cpu_mode = Kernel then begin
@@ -302,42 +376,37 @@ let step_user t =
         end
         else Faulted (Illegal_instruction insn_word)
       | Isa.Trap n ->
-        bump ();
+        bump t pc;
         Trapped n
-      | Isa.Loadi (r, imm) -> alu r (Word.of_int imm)
-      | Isa.Load (r, b, off) -> begin
+      | Isa.Loadi (r, imm) -> alu t pc r (Word.of_int imm)
+      | Isa.Load (r, b, off) ->
         let vaddr = Word.add t.regs.(b) (Word.of_int off) in
-        match load_user t vaddr with
-        | None ->
-          if t.cpu_mode = User && vaddr >= device_space then Faulted (Device_violation vaddr)
-          else Faulted (Mem_violation vaddr)
-        | Some v -> alu r v
-      end
+        let v = load t vaddr in
+        if v = violation then access_fault t vaddr else alu t pc r v
       | Isa.Store (r, b, off) ->
         let vaddr = Word.add t.regs.(b) (Word.of_int off) in
-        if store_user t vaddr t.regs.(r) then begin
-          bump ();
+        if store t vaddr t.regs.(r) then begin
+          bump t pc;
           Stepped
         end
-        else if t.cpu_mode = User && vaddr >= device_space then Faulted (Device_violation vaddr)
-        else Faulted (Mem_violation vaddr)
-      | Isa.Mov (d, s) -> alu d t.regs.(s)
-      | Isa.Add (d, s) -> alu d (Word.add t.regs.(d) t.regs.(s))
-      | Isa.Sub (d, s) -> alu d (Word.sub t.regs.(d) t.regs.(s))
-      | Isa.And_ (d, s) -> alu d (Word.logand t.regs.(d) t.regs.(s))
-      | Isa.Or_ (d, s) -> alu d (Word.logor t.regs.(d) t.regs.(s))
-      | Isa.Xor (d, s) -> alu d (Word.logxor t.regs.(d) t.regs.(s))
+        else access_fault t vaddr
+      | Isa.Mov (d, s) -> alu t pc d t.regs.(s)
+      | Isa.Add (d, s) -> alu t pc d (Word.add t.regs.(d) t.regs.(s))
+      | Isa.Sub (d, s) -> alu t pc d (Word.sub t.regs.(d) t.regs.(s))
+      | Isa.And_ (d, s) -> alu t pc d (Word.logand t.regs.(d) t.regs.(s))
+      | Isa.Or_ (d, s) -> alu t pc d (Word.logor t.regs.(d) t.regs.(s))
+      | Isa.Xor (d, s) -> alu t pc d (Word.logxor t.regs.(d) t.regs.(s))
       | Isa.Cmp (d, s) ->
         set_zn t (Word.sub t.regs.(d) t.regs.(s));
-        bump ();
+        bump t pc;
         Stepped
-      | Isa.Shl (r, a) -> alu r (Word.shift_left t.regs.(r) a)
-      | Isa.Shr (r, a) -> alu r (Word.shift_right t.regs.(r) a)
+      | Isa.Shl (r, a) -> alu t pc r (Word.shift_left t.regs.(r) a)
+      | Isa.Shr (r, a) -> alu t pc r (Word.shift_right t.regs.(r) a)
       | Isa.Beq off ->
-        if t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump ();
+        if t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump t pc;
         Stepped
       | Isa.Bne off ->
-        if not t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump ();
+        if not t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump t pc;
         Stepped
       | Isa.Br off ->
         t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off);
@@ -370,6 +439,7 @@ let copy t =
     cpu_mode = t.cpu_mode;
     frame = Array.copy t.frame;
     mmu_shadow = Array.copy t.mmu_shadow;
+    touched = no_touches ();
   }
 
 (* The instruction counter is bookkeeping, not machine state: two runs that

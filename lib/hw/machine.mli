@@ -15,7 +15,7 @@
     - no DMA, by construction (the paper: "DMA is permanently excluded
       from the system");
     - devices that raise interrupt requests which only the kernel can see
-      and must forward ({!pending_irqs}).
+      and must forward ({!irq_pending}).
 
     The machine executes user-mode instructions; everything privileged
     (traps, scheduling, MMU programming, interrupt fielding) is delegated
@@ -138,20 +138,22 @@ val device_input : t -> int -> Word.t -> unit
     register, sets status, raises the IRQ line. Raises [Invalid_argument]
     on a non-[Rx] device. *)
 
-val device_outputs : t -> (int * Word.t) list
-(** Collect and clear words pending in [Tx] devices (device id, word). *)
+val complete_transmissions : t -> unit
+(** Every [Tx] device with a word pending (status 1) completes its
+    transmission: its status drops back to 0. The word stays in the data
+    register. *)
 
 val device_regs : t -> int -> Word.t * Word.t
 (** (data, status) registers of a device, unprotected — kernel/test use. *)
 
+val device_data : t -> int -> Word.t
+val device_status : t -> int -> Word.t
+(** The two halves of {!device_regs}, without building the pair. *)
+
 val set_device_regs : t -> int -> data:Word.t -> status:Word.t -> unit
 
-val pending_irqs : t -> int list
-(** Devices whose IRQ line is raised and not yet fielded. *)
-
 val irq_pending : t -> int -> bool
-(** Whether one device's IRQ line is raised and not yet fielded: the
-    same as membership in {!pending_irqs}, without building the list. *)
+(** Whether a device's IRQ line is raised and not yet fielded. *)
 
 val field_irq : t -> int -> unit
 (** Kernel acknowledges (lowers) a device's IRQ line. *)
@@ -168,12 +170,19 @@ val step_user : t -> step_result
     instruction. On [Faulted] the PC is left at the faulting
     instruction. *)
 
-val load_user : t -> int -> Word.t option
-(** Read through the current MMU mapping, as user code would ([None] on a
-    violation). Used by the kernel to read trap arguments. *)
-
 val store_user : t -> int -> Word.t -> bool
 (** Write through the current MMU mapping; [false] on a violation. *)
+
+val devices_changed : t -> int array -> bool
+(** [devices_changed t ds]: whether the last {!step_user} (or
+    {!store_user}) left some device of [ds] with a (data, status) pair
+    that differs from the pair it had before. This is the before/after
+    comparison of every device in [ds], without the snapshot: the machine
+    records the first touch of each device during the instruction — at
+    most two, the fetch and one load or store — with the pair before
+    it. A write that leaves both registers as they were, or two touches
+    that cancel out, is no change. The record is bookkeeping, not state:
+    {!copy}, {!equal} and {!hash} ignore it. *)
 
 val instruction_count : t -> int
 

@@ -196,10 +196,11 @@ let test_machine_rx_device () =
         Isa.Instr (Isa.Load (2, 6, 1));  (* status again *)
       ]
   in
+  let irqs () = List.filter (Machine.irq_pending m) (List.init (Machine.num_devices m) Fun.id) in
   Machine.device_input m 0 0x7b;
-  Alcotest.(check (list int)) "irq raised" [ 0 ] (Machine.pending_irqs m);
+  Alcotest.(check (list int)) "irq raised" [ 0 ] (irqs ());
   Machine.field_irq m 0;
-  Alcotest.(check (list int)) "irq fielded" [] (Machine.pending_irqs m);
+  Alcotest.(check (list int)) "irq fielded" [] (irqs ());
   ignore (step_n m 5);
   Alcotest.(check int) "status was full" 1 (Machine.get_reg m 0);
   Alcotest.(check int) "data read" 0x7b (Machine.get_reg m 1);
@@ -216,8 +217,11 @@ let test_machine_tx_device () =
       ]
   in
   ignore (step_n m 4);
-  Alcotest.(check (list (pair int int))) "tx pending" [ (1, 0x55) ] (Machine.device_outputs m);
-  Alcotest.(check (list (pair int int))) "drained" [] (Machine.device_outputs m)
+  Alcotest.(check (pair int int)) "tx pending" (0x55, 1) (Machine.device_regs m 1);
+  Machine.complete_transmissions m;
+  Alcotest.(check (pair int int)) "transmitted" (0x55, 0) (Machine.device_regs m 1);
+  Machine.complete_transmissions m;
+  Alcotest.(check (pair int int)) "nothing left to send" (0x55, 0) (Machine.device_regs m 1)
 
 let test_machine_xform_device () =
   let m =
@@ -276,6 +280,146 @@ let test_machine_instruction_count_not_state () =
   Alcotest.(check bool) "counter excluded from equality" true (Machine.equal a b);
   Alcotest.(check int) "counter advanced" 2 (Machine.instruction_count a)
 
+(* A kernel bug that programs a device slot on a machine without devices
+   must fault the access, not take the simulator down. *)
+let test_machine_no_devices_slot_faults () =
+  let m = Machine.create ~mem_words:64 ~devices:[] in
+  Machine.write_phys m 0 (Isa.encode (Isa.Load (0, 1, 0)));
+  Machine.write_phys m 40 (Isa.encode Isa.Rti);
+  Machine.set_reg m 1 Machine.device_space;
+  Machine.enter_kernel m ~cause:0 ~vector:40;
+  List.iter
+    (fun (off, w) ->
+      Alcotest.(check bool) "mmu control writable" true (Machine.store_user m (Machine.mmu_base + off) w))
+    [ (1, 32); (3, 5); (2, 1) ];
+  (match Machine.step_user m with
+  | Machine.Returned -> ()
+  | _ -> Alcotest.fail "expected Rti to return");
+  match Machine.step_user m with
+  | Machine.Faulted (Machine.Device_violation a) ->
+    Alcotest.(check int) "faulting vaddr" Machine.device_space a
+  | _ -> Alcotest.fail "expected a device violation"
+
+(* -- device-effect record -------------------------------------------------- *)
+
+(* The rule [Machine.devices_changed] stands for: snapshot every device's
+   (data, status) before the step and compare after it. *)
+let device_snapshot m = Array.init (Machine.num_devices m) (Machine.device_regs m)
+
+let changed_since m before ds = Array.exists (fun d -> Machine.device_regs m d <> before.(d)) ds
+
+let effect_devices =
+  Machine.[ Rx; Tx; Xform (Xor_key 0x0f0f); Rx; Tx ]
+
+(* A random user-mode machine: MMU slots that may repeat a device or leave
+   one out, registers that mostly point into device space, and mostly
+   loads and stores, in memory and in the device data registers (which the
+   PC may fetch from). *)
+let random_effect_machine rng =
+  let module Prng = Sep_util.Prng in
+  let m = Machine.create ~mem_words:64 ~devices:effect_devices in
+  let word () = Prng.int rng 0x10000 in
+  let insn () =
+    let r = Prng.int rng 8 in
+    let b = Prng.int rng 8 in
+    let off = Prng.int rng 10 in
+    match Prng.int rng 6 with
+    | 0 | 1 -> Isa.encode (Isa.Load (r, b, off))
+    | 2 | 3 -> Isa.encode (Isa.Store (r, b, off))
+    | 4 -> Isa.encode (Isa.Loadi (r, Prng.int rng 2))
+    | _ -> word ()
+  in
+  for a = 0 to 31 do
+    Machine.write_phys m a (insn ())
+  done;
+  List.iteri
+    (fun d _ ->
+      let data = if Prng.bool rng then insn () else word () in
+      let status = if Prng.int rng 5 = 0 then word () else Prng.int rng 2 in
+      Machine.set_device_regs m d ~data ~status)
+    effect_devices;
+  Machine.set_mmu m ~base:0 ~limit:32 ~dev_slots:(Array.init (Prng.int rng 5) (fun _ -> Prng.int rng 5));
+  for r = 0 to Isa.num_regs - 2 do
+    Machine.set_reg m r
+      (match Prng.int rng 3 with
+      | 0 -> Prng.int rng 40
+      | 1 -> word ()
+      | _ -> Machine.device_space + Prng.int rng 10)
+  done;
+  Machine.set_reg m Isa.pc_reg
+    (if Prng.bool rng then Prng.int rng 32 else Machine.device_space + Prng.int rng 10);
+  let ds = Array.of_list (List.filter (fun _ -> Prng.bool rng) [ 0; 1; 2; 3; 4 ]) in
+  (m, ds)
+
+let devices_changed_is_before_after =
+  QCheck.Test.make ~name:"devices_changed = before/after comparison" ~count:2000
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let m, ds = random_effect_machine (Sep_util.Prng.create seed) in
+      let step_agrees () =
+        let before = device_snapshot m in
+        ignore (Machine.step_user m);
+        List.for_all
+          (fun ds -> Machine.devices_changed m ds = changed_since m before ds)
+          [ ds; [| 0; 1; 2; 3; 4 |] ]
+      in
+      (* a few steps in a row, so that later ones start from touched devices *)
+      List.for_all (fun _ -> step_agrees ()) [ 1; 2; 3; 4 ])
+
+(* [machine_with]'s slots: 0 = Rx, 1 = Tx, 2 = Xform. [effect] sets up the
+   devices and registers, runs one instruction from [pc] and answers
+   [devices_changed] for the slot set [ds]; it checks the answer against
+   the before/after comparison on the way. *)
+let effect ?(ds = [| 0; 1; 2 |]) ~pc ~regs ~devs program =
+  let m = machine_with program in
+  List.iter (fun (r, v) -> Machine.set_reg m r v) ((6, Machine.device_space) :: regs);
+  List.iter (fun (d, data, status) -> Machine.set_device_regs m d ~data ~status) devs;
+  Machine.set_reg m Isa.pc_reg pc;
+  let before = device_snapshot m in
+  (match Machine.step_user m with
+  | Machine.Stepped -> ()
+  | _ -> Alcotest.fail "expected the instruction to execute");
+  let changed = Machine.devices_changed m ds in
+  Alcotest.(check bool) "agrees with the snapshot" (changed_since m before ds) changed;
+  changed
+
+let test_effect_same_value_write () =
+  let store = [ Isa.Instr (Isa.Store (0, 6, 2)) ] in
+  Alcotest.(check bool) "same-value Tx write: no effect" false
+    (effect ~pc:0 ~regs:[ (0, 0x55) ] ~devs:[ (1, 0x55, 1) ] store);
+  Alcotest.(check bool) "new value: effect" true
+    (effect ~pc:0 ~regs:[ (0, 0x56) ] ~devs:[ (1, 0x55, 1) ] store)
+
+let test_effect_idle_rx_read () =
+  let load = [ Isa.Instr (Isa.Load (1, 6, 0)) ] in
+  Alcotest.(check bool) "Rx read with status 0: no effect" false
+    (effect ~pc:0 ~regs:[] ~devs:[ (0, 0x7b, 0) ] load);
+  Alcotest.(check bool) "Rx read consuming a word: effect" true
+    (effect ~pc:0 ~regs:[] ~devs:[ (0, 0x7b, 1) ] load)
+
+(* Fetching from the Rx data register consumes its word; the fetched
+   instruction then sets the status back. Two touches, no net change. *)
+let test_effect_touches_cancel () =
+  let restore = Isa.encode (Isa.Store (0, 6, 1)) in
+  Alcotest.(check bool) "fetch + restoring store: no effect" false
+    (effect ~pc:Machine.device_space ~regs:[ (0, 1) ] ~devs:[ (0, restore, 1) ] [])
+
+(* The fetch touches the Tx device without changing it; the fetched store
+   changes the transform device: the second touch counts too. *)
+let test_effect_second_touch () =
+  let store = Isa.encode (Isa.Store (0, 6, 4)) in
+  Alcotest.(check bool) "change on the second touch" true
+    (effect ~pc:(Machine.device_space + 2) ~regs:[ (0, 9) ] ~devs:[ (1, store, 0) ] [])
+
+(* A device the queried slots do not name (a mis-programmed MMU reaching
+   another regime's device) is no effect for them. *)
+let test_effect_outside_slots () =
+  let store = [ Isa.Instr (Isa.Store (0, 6, 4)) ] in
+  Alcotest.(check bool) "outside the slots: no effect" false
+    (effect ~ds:[| 0; 1 |] ~pc:0 ~regs:[ (0, 9) ] ~devs:[] store);
+  Alcotest.(check bool) "inside the slots: effect" true
+    (effect ~ds:[| 2 |] ~pc:0 ~regs:[ (0, 9) ] ~devs:[] store)
+
 let () =
   Alcotest.run "hw"
     [
@@ -310,5 +454,15 @@ let () =
           Alcotest.test_case "copy and equality" `Quick test_machine_copy_equal;
           Alcotest.test_case "hash sees the whole state" `Quick test_machine_hash_sees_whole_state;
           Alcotest.test_case "instruction count not state" `Quick test_machine_instruction_count_not_state;
+          Alcotest.test_case "slot on a machine without devices" `Quick test_machine_no_devices_slot_faults;
+        ] );
+      ( "device effect",
+        [
+          qtest devices_changed_is_before_after;
+          Alcotest.test_case "same-value write" `Quick test_effect_same_value_write;
+          Alcotest.test_case "idle rx read" `Quick test_effect_idle_rx_read;
+          Alcotest.test_case "touches cancel" `Quick test_effect_touches_cancel;
+          Alcotest.test_case "second touch" `Quick test_effect_second_touch;
+          Alcotest.test_case "outside the slots" `Quick test_effect_outside_slots;
         ] );
     ]

@@ -681,6 +681,117 @@ let test_mutant_catalogue_covers_bugs_and_conditions () =
           e.Mutants.primary)
     Mutants.catalogue
 
+(* -- pinned kernel behaviour and allocation ----------------------------------- *)
+
+module Scenarios = Sep_core.Scenarios
+module Mix = Sep_util.Mix
+
+(* The configurations the [kernel] benchmark steps. *)
+let kernel_configs =
+  List.map (fun inst -> (inst, Sue.Microcode)) (Scenarios.all @ [ Scenarios.scaled ~regimes:2 ~counter_bits:3 ])
+  @ [ (Scenarios.pipeline, Sue.Assembly) ]
+
+let kernel_config_name ((inst : Scenarios.instance), impl) =
+  Fmt.str "%s:%a" inst.Scenarios.label Sue.pp_impl impl
+
+let kernel_steps = 20_000
+
+(* One input from the scenario alphabet every 10th step; config [i] draws
+   from [Prng.stream 7 i]. *)
+let kernel_schedule (inst : Scenarios.instance) i =
+  let alphabet = Array.of_list inst.Scenarios.alphabet in
+  let rng = Prng.stream 7 i in
+  Array.init kernel_steps (fun n -> if n mod 10 = 0 then Prng.choose rng alphabet else [])
+
+(* Every output (step, device, word), every [kstats] counter and the final
+   state hash. *)
+let kernel_digest k sched =
+  let h = ref Mix.seed in
+  Array.iteri
+    (fun n inp -> List.iter (fun (d, w) -> h := Mix.int (Mix.int (Mix.int !h n) d) w) (Sue.step k inp))
+    sched;
+  let s = Sue.kstats k in
+  let h =
+    List.fold_left Mix.int !h
+      ([ s.Sue.ks_switches; s.ks_irqs_forwarded; s.ks_wakes; s.ks_stalls; s.ks_inputs_latched;
+         s.ks_outputs_observed; s.ks_kernel_instrs; s.ks_fault_parks; s.ks_guard_breaches;
+         s.ks_chan_repairs; s.ks_watchdog_fires; s.ks_panics; s.ks_checkpoints; s.ks_restarts;
+         s.ks_warm_reboots ]
+      @ List.concat_map (List.map snd) [ s.ks_instrs; s.ks_traps; s.ks_swaps; s.ks_sent; s.ks_recvd ])
+  in
+  Mix.finish (Mix.int h (Sue.hash k))
+
+(* Per config: the clean kernel, then one kernel per bug of [Sue.all_bugs],
+   in order. *)
+let pinned_kernel_digests =
+  [
+    ( "pipeline:microcode",
+      [ 4483942778524370589; 451912857128451989; 704124286984050116; 3496782118810051428;
+        4242786197446347390; 2984384638276206943; 320686034649227778; 4457119171480149579;
+        4483942778524370589 ] );
+    ( "interrupt:microcode",
+      [ 2691749044711788204; 2691749044711788204; 28125813794791200; 4466321967456974833;
+        2317171331783372777; 2691749044711788204; 1128116962111609631; 2691749044711788204;
+        4454351122613081933 ] );
+    ( "snfe-micro:microcode",
+      [ 4144791469757377412; 205433729546500281; 1131855682493529041; 3153740423557958473;
+        1938312324188366455; 4144791469757377412; 2297656506758253420; 2554371109878928161;
+        1151176091764659322 ] );
+    ( "preemptive:microcode",
+      [ 2543406532125153602; 1606998187680678953; 1485448063759272600; 2543406532125153602;
+        2543406532125153602; 2543406532125153602; 2543406532125153602; 2543406532125153602;
+        2543406532125153602 ] );
+    ( "scaled-2x3b:microcode",
+      [ 1549355187879295787; 1957924612272388063; 1431091644070290741; 1549355187879295787;
+        1549355187879295787; 1549355187879295787; 1549355187879295787; 1549355187879295787;
+        1549355187879295787 ] );
+    ( "pipeline:assembly",
+      [ 2697846345739094442; 3225546757370895273; 136257549404232740; 1072765999912343998;
+        840534213206002320; 1920970647123832621; 4531678817957127590; 1699099611369357938;
+        2697846345739094442 ] );
+  ]
+
+let test_kernel_digests_pinned () =
+  List.iteri
+    (fun i ((inst, impl) as c) ->
+      let name = kernel_config_name c in
+      let sched = kernel_schedule inst i in
+      List.iter2
+        (fun (label, bugs) want ->
+          let k = Sue.build ~bugs ~impl inst.Scenarios.cfg in
+          Alcotest.(check int) (Fmt.str "%s %s" name label) want (kernel_digest k sched))
+        (("clean", []) :: List.map (fun b -> (Fmt.str "%a" Sue.pp_bug b, [ b ])) Sue.all_bugs)
+        (List.assoc name pinned_kernel_digests))
+    kernel_configs
+
+(* Minor-heap words per [Sue.step], inputs built up front. Each bound is
+   under half of what the step allocated while it snapshotted device
+   registers, walked closures and built lists on every step (95, 62, 89,
+   92, 78 and 361 words). *)
+let step_words_bound =
+  [
+    ("pipeline:microcode", 24.0);
+    ("interrupt:microcode", 12.0);
+    ("snfe-micro:microcode", 24.0);
+    ("preemptive:microcode", 30.0);
+    ("scaled-2x3b:microcode", 24.0);
+    ("pipeline:assembly", 150.0);
+  ]
+
+let test_kernel_step_allocation () =
+  List.iteri
+    (fun i ((inst, impl) as c) ->
+      let name = kernel_config_name c in
+      let k = Sue.build ~impl inst.Scenarios.cfg in
+      let sched = kernel_schedule inst i in
+      let w0 = Gc.minor_words () in
+      Array.iter (fun inp -> ignore (Sue.step k inp)) sched;
+      let per_step = (Gc.minor_words () -. w0) /. float_of_int kernel_steps in
+      let bound = List.assoc name step_words_bound in
+      if per_step > bound then
+        Alcotest.failf "%s: %.1f minor words per step, bound %.0f" name per_step bound)
+    kernel_configs
+
 let () =
   Alcotest.run "sue"
     [
@@ -758,5 +869,10 @@ let () =
           Alcotest.test_case "reachable hashes" `Quick test_reachable_hashes;
           Alcotest.test_case "mutant catalogue coverage" `Quick
             test_mutant_catalogue_covers_bugs_and_conditions;
+        ] );
+      ( "kernel pins",
+        [
+          Alcotest.test_case "behaviour digests" `Quick test_kernel_digests_pinned;
+          Alcotest.test_case "step allocation" `Quick test_kernel_step_allocation;
         ] );
     ]
