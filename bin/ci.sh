@@ -14,7 +14,8 @@
 # smoke run plus a short chaos soak over all four §6 services (exit 1 on
 # any broken exactly-once contract, lost or duplicated effect, or unclean
 # shard monitor), a parallel-determinism
-# check (the -j 2 JSON reports must be byte-identical to -j 1), a replay
+# check (the -j 2 JSON reports, the soak's included, must be
+# byte-identical to -j 1), a replay
 # of every checked-in regression corpus case, and the example programs.
 # The performance gate is the repository benchmark (BENCHMARK.json), run
 # parent-vs-change on one machine, not a step here.
@@ -65,6 +66,9 @@ diff "$tmpdir/refine-j1.jsonl" "$tmpdir/refine-j2.jsonl"
 dune exec bin/rushby.exe -- serve --smoke -j 1 --json "$tmpdir/serve-j1.jsonl"
 dune exec bin/rushby.exe -- serve --smoke -j 2 --json "$tmpdir/serve-j2.jsonl"
 diff "$tmpdir/serve-j1.jsonl" "$tmpdir/serve-j2.jsonl"
+dune exec bin/rushby.exe -- serve --steps 5000 --count 2 -j 1 --json "$tmpdir/soak-j1.jsonl"
+dune exec bin/rushby.exe -- serve --steps 5000 --count 2 -j 2 --json "$tmpdir/soak-j2.jsonl"
+diff "$tmpdir/soak-j1.jsonl" "$tmpdir/soak-j2.jsonl"
 
 # The corpus directory ships non-empty, but guard the glob anyway: an
 # unexpanded pattern would otherwise reach --replay-corpus verbatim.

@@ -71,8 +71,9 @@ let record t ~step fresh condition colour detail =
   end
 
 (* Conditions 1 and 2 on the state's actually-selected operation — the
-   per-state half of [Separability.check_ops]. *)
-let check_ops t ~step fresh s =
+   per-state half of [Separability.check_ops]. [phis] is Phi^c(s) for
+   every colour, in colour order. *)
+let check_ops t ~step fresh s phis =
   let sys = t.sys in
   let op = sys.System.nextop s in
   let c = sys.System.colour_of s in
@@ -80,17 +81,18 @@ let check_ops t ~step fresh s =
   tick t 1;
   let concrete = sys.System.abstract c s' in
   let abstract_op = sys.System.abop c op in
-  let spec = abstract_op.System.abop_apply (sys.System.abstract c s) in
+  let phi_c = snd (List.find (fun (c', _) -> Colour.equal c' c) phis) in
+  let spec = abstract_op.System.abop_apply phi_c in
   if not (sys.System.equal_abstate concrete spec) then
     record t ~step fresh 1 c
       (Fmt.str "op %s from state@ %a@ yields@ %a@ but the abstract machine specifies@ %a"
          op.System.op_name sys.System.pp_state s sys.System.pp_abstate concrete
          sys.System.pp_abstate spec);
   List.iter
-    (fun c' ->
+    (fun (c', before) ->
       if not (Colour.equal c' c) then begin
         tick t 2;
-        let before = sys.System.abstract c' s and after = sys.System.abstract c' s' in
+        let after = sys.System.abstract c' s' in
         if
           (not (sys.System.equal_abstate before after))
           && not (sys.System.sanctioned_interference c c' before after)
@@ -100,7 +102,7 @@ let check_ops t ~step fresh s =
                op.System.op_name Colour.pp c Colour.pp c' sys.System.pp_abstate before
                sys.System.pp_abstate after)
       end)
-    sys.System.colours
+    phis
 
 (* Condition 4: inputs with equal c-projections must give this state equal
    post-INPUT views. Grouping is local to the state, as offline. *)
@@ -122,17 +124,20 @@ let check_cond4 t ~step fresh c s images =
                sys.System.pp_state s))
     images
 
-(* Conditions 3, 5, 6 against the Phi^c-bucket representative. *)
-let check_views t ~step fresh s =
+(* Conditions 3, 5, 6 against the Phi^c-bucket representative. The
+   post-INPUT states and the output do not depend on the colour, so they
+   are built once per state and only abstracted per colour: INPUT works
+   on a copy and Phi only reads, so every check sees the values it would
+   see if each colour built its own. *)
+let check_views t ~step fresh s phis =
   let sys = t.sys in
-  List.iter
-    (fun (c, tbl) ->
-      let a = sys.System.abstract c s in
-      let imgs =
-        List.map (fun i -> (i, sys.System.abstract c (sys.System.input s i))) sys.System.inputs
-      in
+  let posts = List.map (fun i -> (i, sys.System.input s i)) sys.System.inputs in
+  let output = sys.System.output s in
+  List.iter2
+    (fun (c, tbl) (_, a) ->
+      let imgs = List.map (fun (i, s') -> (i, sys.System.abstract c s')) posts in
       check_cond4 t ~step fresh c s imgs;
-      let out = sys.System.extract_output c (sys.System.output s) in
+      let out = sys.System.extract_output c output in
       let mine = Colour.equal (sys.System.colour_of s) c in
       let h = sys.System.hash_abstate a in
       let bucket_list =
@@ -178,14 +183,16 @@ let check_views t ~step fresh s =
                    "states@ %a@ and@ %a@ look alike to the active regime %a but select %s vs %s"
                    sys.System.pp_state s sys.System.pp_state rep Colour.pp c name rep_name)
         end)
-    t.tables
+    t.tables phis
 
 let feed ?step t s =
   let step = match step with Some n -> n | None -> t.states in
   let fresh = ref [] in
   t.states <- t.states + 1;
-  check_ops t ~step fresh s;
-  check_views t ~step fresh s;
+  (* Phi^c(s) once per colour, shared by both passes *)
+  let phis = List.map (fun c -> (c, t.sys.System.abstract c s)) t.sys.System.colours in
+  check_ops t ~step fresh s phis;
+  check_views t ~step fresh s phis;
   List.rev !fresh
 
 let report t =
@@ -212,8 +219,8 @@ type swatch = {
   w_first : unit -> (int * Separability.failure) option;
 }
 
-let watch ?(period = 500) ?max_failures ?sanction_channels ~inputs kernel =
-  let sys = Sue.to_system ?sanction_channels ~inputs (Sue.config kernel) in
+let watch ?(period = 500) ?max_failures ?(sanction_channels = false) ~inputs kernel =
+  let sys = Sue.system_of_kernel ~sanction_channels ~inputs (Sue.copy kernel) in
   let mon = create ?max_failures sys in
   let w =
     {

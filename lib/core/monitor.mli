@@ -76,7 +76,9 @@ val watch :
     {!Sue.audit_count} moved since the last observation, and otherwise
     every [period] steps (default 500). [inputs] is the scenario's
     input alphabet, needed for conditions 3 and 4. [sanction_channels]
-    is passed to {!Sue.to_system}: set it when the watched kernel runs
+    (default [false]) is passed to {!Sue.system_of_kernel}, which
+    packages the watched kernel's own configuration without building a
+    second kernel: set it when the watched kernel runs
     with channels connected (a federation shard), where condition 2's
     strict reading would flag every legitimate send and receive. *)
 

@@ -1581,8 +1581,8 @@ let scramble_others rng t c =
 
 (* -- Appendix-model packaging ---------------------------------------------- *)
 
-let to_system ?(bugs = []) ?(impl = Microcode) ?(sanction_channels = false) ~inputs cfg =
-  let t0 = build ~bugs ~impl cfg in
+let system_of_kernel ~sanction_channels ~inputs t0 =
+  let cfg = t0.cfg in
   let owner_name t d = Colour.name (device_owner t d) in
   let extract c pairs = List.filter (fun (d, _) -> owner_name t0 d = Colour.name c) pairs in
   let nextop s =
@@ -1670,3 +1670,16 @@ let to_system ?(bugs = []) ?(impl = Microcode) ?(sanction_channels = false) ~inp
     pp_input = pp_pairs;
     pp_abstate = Abstract_regime.pp;
   }
+
+let to_system ?(bugs = []) ?(impl = Microcode) ?(sanction_channels = false) ~inputs cfg =
+  system_of_kernel ~sanction_channels ~inputs (build ~bugs ~impl cfg)
+
+(* -- Queries off the step's path ------------------------------------------
+
+   The kernel step's speed is sensitive to where its machine code lands,
+   so queries that neither the step nor the checker run are defined here,
+   after both, where adding one moves none of their code. *)
+
+let any_parked t =
+  let rec go r = r < t.layout.nregs && (get_status t r = status_parked || go (r + 1)) in
+  go 0

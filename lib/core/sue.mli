@@ -189,6 +189,10 @@ val all_parked : t -> bool
 (** The halt state a panic (or a park cascade) leaves behind: nothing will
     ever run again without a {!warm_reboot}. *)
 
+val any_parked : t -> bool
+(** Some regime is parked: exactly when some colour's {!regime_status} is
+    [Parked], but read straight from the status words, one per regime. *)
+
 val warm_reboot : t -> Colour.t list
 (** Recover the whole kernel from an all-parked halt: re-fence the guard
     words, restore every parked regime from its checkpoint (regimes whose
@@ -373,3 +377,11 @@ val to_system :
     when knowingly checking a system that runs with its channels
     connected, such as a federation shard. On a fully cut
     configuration it never fires, so the two readings coincide. *)
+
+val system_of_kernel :
+  sanction_channels:bool -> inputs:input list -> t ->
+  (t, input, output, Abstract_regime.t, (int * int) list) Sep_model.System.t
+(** {!to_system} around a kernel already built, without building another:
+    the system's initial state is the given kernel itself (pass a copy
+    of one that keeps running), and everything else depends only on its
+    configuration. *)

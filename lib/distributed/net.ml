@@ -21,21 +21,53 @@ let default_link_model = { lm_seed = 42; lm_drop = 10; lm_dup = 5; lm_reorder = 
    retransmissions included — the latency the receiving box experiences. *)
 type frame = { seq : int; payload : Component.message; born : int; flow : int }
 
+(* The data line of a reliable wire: frames in transit, head arrives
+   first. The newest frame is held apart from the rest, so the link model
+   can splice a queue-jumper in just ahead of it as cheaply as it appends.
+   Invariant: [newest] is [None] only when [ahead] is empty too. *)
+type line = {
+  ahead : frame Queue.t;  (* every frame in transit but the newest *)
+  mutable newest : frame option;
+}
+
+let line_is_empty l = Option.is_none l.newest
+let line_length l = Queue.length l.ahead + if line_is_empty l then 0 else 1
+
+let line_append l f =
+  Option.iter (fun n -> Queue.add n l.ahead) l.newest;
+  l.newest <- Some f
+
+(* Only on a non-empty line: the frame lands just before the newest. *)
+let line_jump l f = Queue.add f l.ahead
+
+let line_pop l =
+  if Queue.is_empty l.ahead then begin
+    let f = Option.get l.newest in
+    l.newest <- None;
+    f
+  end
+  else Queue.pop l.ahead
+
+let line_clear l =
+  Queue.clear l.ahead;
+  l.newest <- None
+
+let line_frames l = List.of_seq (Queue.to_seq l.ahead) @ Option.to_list l.newest
+
 (* Per-wire state of the reliable protocol: a go-back-N sender (window =
    the wire's capacity, cumulative acks, timeout retransmission with
    capped exponential backoff) and an in-order receiver that delivers
    exactly the sequence the sender accepted, whatever the line loses,
-   duplicates or reorders. The data line and the reverse ack line are
-   plain ordered lists (head arrives first) so the link model can splice
-   duplicates and queue-jumpers. *)
+   duplicates or reorders. Window, data line and reverse ack line are
+   queues, head first, so a step costs the frames it moves. *)
 type rel_wire = {
   mutable r_next_seq : int;  (* next sequence number to assign *)
   r_pending : frame Queue.t;  (* accepted, waiting for a window slot *)
-  mutable r_unacked : frame list;  (* in the window, oldest first *)
+  r_unacked : frame Queue.t;  (* in the window, oldest (lowest seq) first *)
   mutable r_timer : int;  (* steps until retransmission; 0 = idle *)
   mutable r_rto : int;  (* current timeout, doubled per expiry *)
-  mutable r_data : frame list;  (* frames in transit, head arrives first *)
-  mutable r_acks : int list;  (* cumulative acks in transit to the sender *)
+  r_data : line;  (* frames in transit *)
+  r_acks : int Queue.t;  (* cumulative acks in transit to the sender *)
   mutable r_expect : int;  (* receiver: next in-order sequence number *)
   mutable r_ack_due : bool;
   r_window : int;
@@ -55,18 +87,19 @@ type node = {
   colour : Colour.t;
   inst : Component.instance;
   incoming : Topology.wire list;  (* in wire-id order *)
-  mutable obs : Component.obs list;  (* reversed *)
-  mutable outs : Component.message list;  (* reversed *)
+  mutable log : Component.obs list;  (* since the last hand-over, newest first *)
 }
 
 type t = {
   topo : Topology.t;
+  wires : Topology.wire array;  (* indexed by wire id *)
   nodes : node list;  (* in topology order *)
   lines : Component.message Fifo.t array;  (* indexed by wire id; raw wires only *)
   rel : rel_wire option array;  (* indexed by wire id; [Some] iff reliable *)
   link : link_model option;
   rng : Prng.t option;
   up : bool array;  (* indexed by wire id; [false] while the line is partitioned *)
+  ready : bool array;  (* indexed by wire id; reused each step: a delivery is due *)
   mutable dropped : int;
   mutable lossy_dropped : int;
   mutable partition_dropped : int;
@@ -97,7 +130,7 @@ let build ?link topo =
     let incoming =
       List.sort (fun a b -> Int.compare a.Topology.wire_id b.Topology.wire_id) (Topology.wires_into topo colour)
     in
-    { colour; inst = Component.instantiate comp; incoming; obs = []; outs = [] }
+    { colour; inst = Component.instantiate comp; incoming; log = [] }
   in
   let rel_of w =
     match link with
@@ -107,26 +140,29 @@ let build ?link topo =
         {
           r_next_seq = 0;
           r_pending = Queue.create ();
-          r_unacked = [];
+          r_unacked = Queue.create ();
           r_timer = 0;
           r_rto = rto_base;
-          r_data = [];
-          r_acks = [];
+          r_data = { ahead = Queue.create (); newest = None };
+          r_acks = Queue.create ();
           r_expect = 0;
           r_ack_due = false;
           r_window = max 1 w.Topology.capacity;
         }
   in
   let tel = Sep_obs.Telemetry.create () in
+  let nwires = List.length topo.Topology.wires in
   {
     topo;
+    wires = Array.of_list topo.Topology.wires;
     nodes = List.map node topo.Topology.parts;
     lines =
       Array.of_list (List.map (fun w -> Fifo.create ~capacity:w.Topology.capacity) topo.Topology.wires);
     rel = Array.of_list (List.map rel_of topo.Topology.wires);
     link;
     rng = Option.map (fun lm -> Prng.create lm.lm_seed) link;
-    up = Array.make (List.length topo.Topology.wires) true;
+    up = Array.make nwires true;
+    ready = Array.make nwires false;
     dropped = 0;
     lossy_dropped = 0;
     partition_dropped = 0;
@@ -139,8 +175,6 @@ let build ?link topo =
     rq = Sep_obs.Telemetry.gauge tel "net.retransmit_queue";
     rq_global = Sep_obs.Telemetry.gauge (Sep_obs.Span.local ()) "net.retransmit_queue";
   }
-
-let wire t id = List.nth t.topo.Topology.wires id
 
 (* -- The lossy line ---------------------------------------------------------- *)
 
@@ -163,16 +197,10 @@ let place_data t id rw fr =
   | Some lm ->
     if roll t lm.lm_drop then t.lossy_dropped <- t.lossy_dropped + 1
     else begin
+      (* the reorder roll is drawn even on an empty line *)
       let insert f =
-        if roll t lm.lm_reorder && rw.r_data <> [] then begin
-          let rec jump = function
-            | [ last ] -> [ f; last ]
-            | x :: rest -> x :: jump rest
-            | [] -> [ f ]
-          in
-          rw.r_data <- jump rw.r_data
-        end
-        else rw.r_data <- rw.r_data @ [ f ]
+        if roll t lm.lm_reorder && not (line_is_empty rw.r_data) then line_jump rw.r_data f
+        else line_append rw.r_data f
       in
       insert fr;
       if roll t lm.lm_dup then insert fr
@@ -191,20 +219,24 @@ let rel_maintenance t =
       match rwo with
       | None -> ()
       | Some rw ->
-        (match rw.r_acks with
-        | a :: rest ->
-          rw.r_acks <- rest;
-          let before = List.length rw.r_unacked in
-          rw.r_unacked <- List.filter (fun f -> f.seq > a) rw.r_unacked;
-          if List.length rw.r_unacked < before then begin
+        if not (Queue.is_empty rw.r_acks) then begin
+          let a = Queue.pop rw.r_acks in
+          (* the window is in sequence order, so the retired frames are
+             exactly its prefix up to [a] *)
+          let retired = ref false in
+          while (not (Queue.is_empty rw.r_unacked)) && (Queue.peek rw.r_unacked).seq <= a do
+            ignore (Queue.pop rw.r_unacked);
+            retired := true
+          done;
+          if !retired then begin
             rw.r_rto <- rto_base;
-            rw.r_timer <- (if rw.r_unacked = [] then 0 else rw.r_rto)
+            rw.r_timer <- (if Queue.is_empty rw.r_unacked then 0 else rw.r_rto)
           end
-        | [] -> ());
-        if rw.r_unacked <> [] then begin
+        end;
+        if not (Queue.is_empty rw.r_unacked) then begin
           if rw.r_timer > 1 then rw.r_timer <- rw.r_timer - 1
           else begin
-            List.iter
+            Queue.iter
               (fun f ->
                 t.retransmits <- t.retransmits + 1;
                 place_data t id rw f)
@@ -214,13 +246,13 @@ let rel_maintenance t =
             rw.r_timer <- rw.r_rto
           end
         end;
-        while List.length rw.r_unacked < rw.r_window && not (Queue.is_empty rw.r_pending) do
+        while Queue.length rw.r_unacked < rw.r_window && not (Queue.is_empty rw.r_pending) do
           let f = Queue.pop rw.r_pending in
-          if rw.r_unacked = [] then begin
+          if Queue.is_empty rw.r_unacked then begin
             rw.r_rto <- rto_base;
             rw.r_timer <- rto_base
           end;
-          rw.r_unacked <- rw.r_unacked @ [ f ];
+          Queue.add f rw.r_unacked;
           place_data t id rw f
         done)
     t.rel
@@ -245,7 +277,7 @@ let rel_flush_acks t =
           else begin
             let lost = match t.link with Some lm -> roll t lm.lm_drop | None -> false in
             if lost then t.lossy_dropped <- t.lossy_dropped + 1
-            else rw.r_acks <- rw.r_acks @ [ rw.r_expect - 1 ]
+            else Queue.add (rw.r_expect - 1) rw.r_acks
           end
         end)
     t.rel
@@ -253,12 +285,12 @@ let rel_flush_acks t =
 let transmit t node actions =
   let handle = function
     | Component.Send (w, msg) as act ->
-      node.obs <- Component.Did act :: node.obs;
+      node.log <- Component.Did act :: node.log;
       if w < 0 || w >= Array.length t.lines then t.dropped <- t.dropped + 1
-      else if not (Colour.equal (wire t w).Topology.src node.colour) then
+      else if not (Colour.equal t.wires.(w).Topology.src node.colour) then
         (* no physical line from this box: the send goes nowhere *)
         t.dropped <- t.dropped + 1
-      else if (wire t w).Topology.cut then () (* the line goes nowhere *)
+      else if t.wires.(w).Topology.cut then () (* the line goes nowhere *)
       else begin
         match t.rel.(w) with
         | Some rw ->
@@ -278,19 +310,17 @@ let transmit t node actions =
           if not t.up.(w) then t.partition_dropped <- t.partition_dropped + 1
           else if not (Fifo.push t.lines.(w) msg) then t.dropped <- t.dropped + 1
       end
-    | Component.Output msg as act ->
-      node.obs <- Component.Did act :: node.obs;
-      node.outs <- msg :: node.outs
+    | Component.Output _ as act -> node.log <- Component.Did act :: node.log
   in
   List.iter handle actions
 
 let feed t node ev =
-  node.obs <- Component.Saw ev :: node.obs;
+  node.log <- Component.Saw ev :: node.log;
   transmit t node (Component.feed node.inst ev)
 
 let retransmit_queue_depth t =
   Array.fold_left
-    (fun acc rwo -> match rwo with Some rw -> acc + List.length rw.r_unacked | None -> acc)
+    (fun acc rwo -> match rwo with Some rw -> acc + Queue.length rw.r_unacked | None -> acc)
     0 t.rel
 
 let step t ~externals =
@@ -300,14 +330,13 @@ let step t ~externals =
   Sep_obs.Telemetry.set t.rq rq;
   Sep_obs.Telemetry.set t.rq_global rq;
   (* Only messages already in flight are deliverable this step. *)
-  let deliverable =
-    Array.mapi
-      (fun id line ->
-        match t.rel.(id) with
-        | Some rw -> min 1 (List.length rw.r_data)
-        | None -> min 1 (Fifo.length line))
-      t.lines
-  in
+  Array.iteri
+    (fun id line ->
+      t.ready.(id) <-
+        (match t.rel.(id) with
+        | Some rw -> not (line_is_empty rw.r_data)
+        | None -> not (Fifo.is_empty line)))
+    t.lines;
   let visit node =
     List.iter
       (fun (c, msg) ->
@@ -315,29 +344,26 @@ let step t ~externals =
       externals;
     let from_wire w =
       let id = w.Topology.wire_id in
-      if deliverable.(id) > 0 then begin
-        deliverable.(id) <- 0;
+      if t.ready.(id) then begin
+        t.ready.(id) <- false;
         match t.rel.(id) with
-        | Some rw -> begin
-          match rw.r_data with
-          | f :: rest ->
-            rw.r_data <- rest;
-            if f.seq = rw.r_expect then begin
-              rw.r_expect <- rw.r_expect + 1;
-              rw.r_ack_due <- true;
-              (* end-to-end latency: send-accept to in-order delivery *)
-              Sep_obs.Telemetry.observe t.lat (float_of_int (t.now - f.born));
+        | Some rw ->
+          let f = line_pop rw.r_data in
+          if f.seq = rw.r_expect then begin
+            rw.r_expect <- rw.r_expect + 1;
+            rw.r_ack_due <- true;
+            (* end-to-end latency: send-accept to in-order delivery *)
+            Sep_obs.Telemetry.observe t.lat (float_of_int (t.now - f.born));
+            if f.flow <> 0 then
               Sep_obs.Trace.flow_end ~cat:"net" ~id:f.flow
                 ~args:[ ("wire", Sep_util.Json.Int id); ("seq", Sep_util.Json.Int f.seq) ]
                 "deliver";
-              feed t node (Component.Recv (id, f.payload))
-            end
-            else if rw.r_expect > 0 then
-              (* a duplicate or a queue-jumper: discard, re-ack so the
-                 sender learns where the receiver really is *)
-              rw.r_ack_due <- true
-          | [] -> ()
-        end
+            feed t node (Component.Recv (id, f.payload))
+          end
+          else if rw.r_expect > 0 then
+            (* a duplicate or a queue-jumper: discard, re-ack so the
+               sender learns where the receiver really is *)
+            rw.r_ack_due <- true
         | None -> begin
           match Fifo.pop t.lines.(id) with
           | Some msg -> feed t node (Component.Recv (id, msg))
@@ -360,13 +386,23 @@ let find_node t c =
   | Some n -> n
   | None -> raise Not_found
 
-let trace t c = List.rev (find_node t c).obs
-let outputs t c = List.rev (find_node t c).outs
+let trace t c = List.rev (find_node t c).log
+
+let outputs t c =
+  List.filter_map
+    (function Component.Did (Component.Output m) -> Some m | _ -> None)
+    (trace t c)
+
+let hand_over t c =
+  let node = find_node t c in
+  let log = List.rev node.log in
+  node.log <- [];
+  log
 
 let in_flight t =
   let base = Array.fold_left (fun acc line -> acc + Fifo.length line) 0 t.lines in
   Array.fold_left
-    (fun acc rwo -> match rwo with Some rw -> acc + List.length rw.r_data | None -> acc)
+    (fun acc rwo -> match rwo with Some rw -> acc + line_length rw.r_data | None -> acc)
     base t.rel
 
 let drops t = t.dropped
@@ -399,9 +435,9 @@ let set_wire_up t ~wire up =
     (* flush the line: frames and acks in the cable are lost with it *)
     (match t.rel.(wire) with
     | Some rw ->
-      t.partition_dropped <- t.partition_dropped + List.length rw.r_data + List.length rw.r_acks;
-      rw.r_data <- [];
-      rw.r_acks <- []
+      t.partition_dropped <- t.partition_dropped + line_length rw.r_data + Queue.length rw.r_acks;
+      line_clear rw.r_data;
+      Queue.clear rw.r_acks
     | None -> ());
     let line = t.lines.(wire) in
     let rec drain () =
@@ -431,18 +467,18 @@ let tamper t ~wire f =
   let affected = ref 0 in
   (match t.rel.(wire) with
   | Some rw ->
-    rw.r_data <-
-      List.filter_map
-        (fun fr ->
-          match f fr.payload with
-          | Some msg' ->
-            if not (String.equal msg' fr.payload) then incr affected;
-            Some { fr with payload = msg' }
-          | None ->
-            incr affected;
-            t.dropped <- t.dropped + 1;
-            None)
-        rw.r_data
+    let frames = line_frames rw.r_data in
+    line_clear rw.r_data;
+    List.iter
+      (fun fr ->
+        match f fr.payload with
+        | Some msg' ->
+          if not (String.equal msg' fr.payload) then incr affected;
+          line_append rw.r_data { fr with payload = msg' }
+        | None ->
+          incr affected;
+          t.dropped <- t.dropped + 1)
+      frames
   | None ->
     let line = t.lines.(wire) in
     let rec drain acc =

@@ -62,11 +62,27 @@ val run :
 (** [steps] iterations of {!step}; [externals n] supplies step [n]'s
     inputs. *)
 
+(** Each box keeps a log of everything its component saw and did. The log
+    runs from the box's last {!hand_over} — or from {!build}, if there
+    has been none — so a net that is never handed over keeps the whole
+    run, and a caller that hands every box over after each {!step} keeps
+    nothing between steps: its memory and its per-step cost follow the
+    traffic of the step, not the age of the run. *)
+
 val trace : t -> Sep_model.Colour.t -> Sep_model.Component.obs list
-(** Everything the component saw and did, in order. *)
+(** Everything the component saw and did since its last {!hand_over}, in
+    order. Does not consume the log. Raises [Not_found] on a colour that
+    is not a box of the topology. *)
 
 val outputs : t -> Sep_model.Colour.t -> Sep_model.Component.message list
-(** Just the [Output] actions. *)
+(** Just the [Output] actions of {!trace}. *)
+
+val hand_over : t -> Sep_model.Colour.t -> Sep_model.Component.obs list
+(** {!trace}, and the box then forgets it: the next hand-over (or
+    {!trace}) starts empty. Concatenating successive hand-overs gives the
+    {!trace} of the same run never handed over; a second hand-over with
+    no {!step} in between returns [[]]. Raises [Not_found] on an unknown
+    colour. *)
 
 val in_flight : t -> int
 (** Messages currently buffered in wires. *)

@@ -10,6 +10,7 @@ module Abstract_regime = Sep_core.Abstract_regime
 module Net = Sep_distributed.Net
 module Recover = Sep_recover.Recover
 module Fault_plan = Sep_robust.Fault_plan
+module Campaign = Sep_robust.Campaign
 module J = Sep_util.Json
 
 (* -- Specs ------------------------------------------------------------------ *)
@@ -123,29 +124,25 @@ let node_event_to_json e =
 
 (* -- Frames ----------------------------------------------------------------- *)
 
-(* Inter-shard frames are strings on Net wires: "ch|<chan>|<word>|<ck>"
-   for channel words, "hb|<shard>" for heartbeats. The checksum is the
+(* Inter-shard frames are strings on Net wires, of two kinds. A channel
+   frame carries one whole ring drain, "cb|<chan>|<n>|<w0>,<w1>,...|<ck>",
+   however many words it held; a heartbeat is "hb|<shard>". The checksum
+   folds the channel id and every word in order, so dropping, reordering
+   or forging any word of a frame is caught on arrival: it is the
    end-to-end integrity check the federation adds on top of the link
-   protocol: the go-back-N layer recovers loss, the checksum rejects
-   forgery. *)
-let cksum chan word = ((chan * 131) + (word * 31) + 7) land 0xffff
-
-(* The legacy single-word frame encoder: emission is all-batch now, but
-   the format stays decodable (and encodable, for mixed-version tests). *)
-let[@warning "-32"] chan_msg chan word = Printf.sprintf "ch|%d|%d|%d" chan word (cksum chan word)
-
-(* A batched frame carries a whole ring drain in one go:
-   "cb|<chan>|<n>|<w0>,<w1>,...|<ck>". The checksum folds every word, so
-   dropping, reordering or forging any word inside the batch is caught
-   exactly as it would be frame-by-frame. Single-word "ch|" frames stay
-   parseable for mixed-version traffic. *)
+   protocol, which recovers loss but not forgery. *)
 let batch_cksum chan words =
   List.fold_left (fun acc w -> ((acc * 31) + w + 11) land 0xffff) (((chan * 131) + 7) land 0xffff) words
 
 let batch_msg chan words =
-  Printf.sprintf "cb|%d|%d|%s|%d" chan (List.length words)
-    (String.concat "," (List.map string_of_int words))
-    (batch_cksum chan words)
+  String.concat "|"
+    [
+      "cb";
+      string_of_int chan;
+      string_of_int (List.length words);
+      String.concat "," (List.map string_of_int words);
+      string_of_int (batch_cksum chan words);
+    ]
 
 let hb_msg shard = Printf.sprintf "hb|%d" shard
 
@@ -157,10 +154,6 @@ type payload =
 let parse_payload s =
   match String.split_on_char '|' s with
   | [ "hb"; sh ] -> ( match int_of_string_opt sh with Some s -> P_hb s | None -> P_bad)
-  | [ "ch"; c; w; k ] -> (
-    match (int_of_string_opt c, int_of_string_opt w, int_of_string_opt k) with
-    | Some c, Some w, Some k when k = cksum c w && c >= 0 -> P_chan (c, [ w ])
-    | _ -> P_bad)
   | [ "cb"; c; n; ws; k ] -> (
     match (int_of_string_opt c, int_of_string_opt n, int_of_string_opt k) with
     | Some c, Some n, Some k when c >= 0 && n >= 1 ->
@@ -178,6 +171,8 @@ let parse_payload s =
    is the NIC transmit command, a delivery is re-emitted as an Output with
    the arriving wire id prefixed so the federation knows which line it came
    in on. *)
+let on_wire w payload = string_of_int w ^ "|" ^ payload
+
 let split_wire m =
   match String.index_opt m '|' with
   | None -> None
@@ -191,7 +186,7 @@ let router name =
       match ev with
       | Component.External m -> (
         match split_wire m with Some (w, p) -> [ Component.Send (w, p) ] | None -> [])
-      | Component.Recv (w, m) -> [ Component.Output (Printf.sprintf "%d|%s" w m) ])
+      | Component.Recv (w, m) -> [ Component.Output (on_wire w m) ])
 
 (* -- Per-shard configurations ----------------------------------------------- *)
 
@@ -245,12 +240,13 @@ type t = {
   watches : Monitor.swatch option array;
   net : Net.t;
   routes : route array; (* inter-shard channels only *)
-  hb_wires : int array; (* shard -> its heartbeat wire id *)
+  hb_external : (Colour.t * string) array; (* shard -> its heartbeat NIC command *)
   node_colour : Colour.t array;
   ctrl_colour : Colour.t;
   ndev : int;
   device_shard : int array;
   device_colour : Colour.t array;
+  shard_devices : int array array; (* shard -> the global devices it hosts, ascending *)
   inputs : int -> Sue.input;
   queues : int Queue.t array; (* flow-controlled external input, per device *)
   pending_in : int Queue.t array; (* arrived words awaiting ring space, per channel *)
@@ -265,8 +261,6 @@ type t = {
   mutable events : (int * node_event) list; (* newest first *)
   mutable frame_rejects : int;
   mutable delivered : int;
-  out_cursor : int array; (* Net outputs consumed, per shard node *)
-  mutable ctrl_cursor : int;
   mutable flat_out : (int * int) list; (* newest first *)
   out_q : (int * int) Queue.t; (* same outputs, drained by take_outputs *)
   mutable pending_drops : int list;
@@ -362,12 +356,17 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     watches;
     net;
     routes;
-    hb_wires;
+    hb_external =
+      Array.init nshards (fun s ->
+          (node_colour.(s), on_wire hb_wires.(s) (hb_msg s)));
     node_colour;
     ctrl_colour;
     ndev;
     device_shard;
     device_colour;
+    shard_devices =
+      Array.init nshards (fun s ->
+          Array.of_list (List.filter (fun d -> device_shard.(d) = s) (List.init ndev Fun.id)));
     inputs = Sep_core.Scenarios.drip spec.fs_alphabet;
     queues = Array.init ndev (fun _ -> Queue.create ());
     pending_in = Array.init (List.length spec.fs_cfg.Config.channels) (fun _ -> Queue.create ());
@@ -382,8 +381,6 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     events = [];
     frame_rejects = 0;
     delivered = 0;
-    out_cursor = Array.make nshards 0;
-    ctrl_cursor = 0;
     flat_out = [];
     out_q = Queue.create ();
     pending_drops = [];
@@ -419,36 +416,10 @@ let shard_of t c = shard_of_spec t.spec c
 
 (* -- Fault application ------------------------------------------------------ *)
 
-let flip_phys m a bit = Machine.write_phys m a (Machine.read_phys m a lxor (1 lsl bit))
-
 (* Machine-level faults strike the kernel instance that actually hosts the
    damaged domain — the same physical events Campaign injects against a
    single kernel, located in the federation by its placement. *)
-let apply_at t s (f : Fault_plan.fault) =
-  let k = t.kernels.(s) in
-  let m = Sue.machine k in
-  match f with
-  | Mem_flip { colour; offset; bit } ->
-    let base, size = Sue.partition_bounds k colour in
-    flip_phys m (base + (offset mod size)) bit
-  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base k colour + slot) bit
-  | Guard_smash { index } ->
-    let guards = Array.of_list (Sue.guard_addrs k) in
-    flip_phys m guards.(index mod Array.length guards) 7
-  | Chan_flip { chan; which; word; bit } -> begin
-    match Sue.channel_area k chan with
-    | None -> ()
-    | Some (send_area, recv_area, cap) ->
-      let area =
-        match which with Fault_plan.Send_end -> send_area | Fault_plan.Recv_end -> recv_area
-      in
-      flip_phys m (area + (word mod (cap + 2))) bit
-  end
-  | Rx_latch_flip { device; bit } ->
-    let data, status = Machine.device_regs m device in
-    Machine.set_device_regs m device ~data:(data lxor (1 lsl bit)) ~status
-  | Spurious_irq { device } -> Machine.raise_irq m device
-  | _ -> ()
+let apply_at t s f = Campaign.strike t.kernels.(s) f
 
 let apply_fault t n (f : Fault_plan.fault) =
   match f with
@@ -536,33 +507,32 @@ let inject t rt =
 
 (* -- Net output collection -------------------------------------------------- *)
 
-let collect_ctrl t n =
-  let outs = Net.outputs t.net t.ctrl_colour in
-  let fresh = List.filteri (fun i _ -> i >= t.ctrl_cursor) outs in
-  t.ctrl_cursor <- List.length outs;
+(* Every step hands each box's log over once and keeps only the frames
+   its router re-emitted: the net retains nothing between steps, so a
+   step's collection costs the frames that arrived in it. *)
+let collect t colour f =
   List.iter
-    (fun m ->
-      match Option.map (fun (_, p) -> parse_payload p) (split_wire m) with
-      | Some (P_hb s) when s >= 0 && s < t.nshards -> t.last_seen.(s) <- n
-      | _ ->
-        t.frame_rejects <- t.frame_rejects + 1;
-        event t n (Frame_rejected (-1)))
-    fresh
+    (function
+      | Component.Did (Component.Output m) ->
+        f (Option.map (fun (_, p) -> parse_payload p) (split_wire m))
+      | Component.Saw _ | Component.Did (Component.Send _) -> ())
+    (Net.hand_over t.net colour)
+
+let collect_ctrl t n =
+  collect t t.ctrl_colour (function
+    | Some (P_hb s) when s >= 0 && s < t.nshards -> t.last_seen.(s) <- n
+    | _ ->
+      t.frame_rejects <- t.frame_rejects + 1;
+      event t n (Frame_rejected (-1)))
 
 let collect_shard t n s =
-  let outs = Net.outputs t.net t.node_colour.(s) in
-  let fresh = List.filteri (fun i _ -> i >= t.out_cursor.(s)) outs in
-  t.out_cursor.(s) <- List.length outs;
-  List.iter
-    (fun m ->
-      match Option.map (fun (_, p) -> parse_payload p) (split_wire m) with
-      | Some (P_chan (c, ws)) when c < Array.length t.pending_in ->
-        List.iter (fun w -> Queue.add w t.pending_in.(c)) ws;
-        t.delivered <- t.delivered + List.length ws
-      | _ ->
-        t.frame_rejects <- t.frame_rejects + 1;
-        event t n (Frame_rejected s))
-    fresh
+  collect t t.node_colour.(s) (function
+    | Some (P_chan (c, ws)) when c < Array.length t.pending_in ->
+      List.iter (fun w -> Queue.add w t.pending_in.(c)) ws;
+      t.delivered <- t.delivered + List.length ws
+    | _ ->
+      t.frame_rejects <- t.frame_rejects + 1;
+      event t n (Frame_rejected s))
 
 (* -- The supervisor --------------------------------------------------------- *)
 
@@ -666,10 +636,8 @@ let step t =
   let externals = ref [] in
   for s = t.nshards - 1 downto 0 do
     if t.powered.(s) then begin
-      (* Batched NIC copies: one frame per drained ring, however many
-         words it held — the ROADMAP's first federation throughput
-         optimization. A single-word drain still rides the batch frame;
-         the legacy per-word codec remains accepted on arrival. *)
+      (* A ring drain leaves as one frame however many words it held;
+         one checksum covers them all (see Frames). *)
       Array.iter
         (fun rt ->
           if rt.rt_src = s then
@@ -677,12 +645,10 @@ let step t =
             | [] -> ()
             | words ->
               externals :=
-                (t.node_colour.(s), Printf.sprintf "%d|%s" rt.rt_wire (batch_msg rt.rt_chan words))
+                (t.node_colour.(s), on_wire rt.rt_wire (batch_msg rt.rt_chan words))
                 :: !externals)
         t.routes;
-      if n mod t.policy.fp_hb_period = 0 then
-        externals :=
-          (t.node_colour.(s), Printf.sprintf "%d|%s" t.hb_wires.(s) (hb_msg s)) :: !externals
+      if n mod t.policy.fp_hb_period = 0 then externals := t.hb_external.(s) :: !externals
     end
   done;
   Net.step t.net ~externals:!externals;
@@ -700,25 +666,22 @@ let step t =
   for s = 0 to t.nshards - 1 do
     if t.powered.(s) then begin
       let m = Sue.machine t.kernels.(s) in
-      let input =
-        if t.state.(s) = Quarantined then []
-        else
-          List.concat
-            (List.init t.ndev (fun d ->
-                 if
-                   t.device_shard.(d) = s
-                   && (not (Queue.is_empty t.queues.(d)))
-                   && (not (List.mem d t.stuck))
-                   && snd (Machine.device_regs m d) = 0
-                 then
-                   if List.mem d t.pending_drops then begin
-                     t.pending_drops <- remove_one d t.pending_drops;
-                     ignore (Queue.pop t.queues.(d));
-                     []
-                   end
-                   else [ (d, Queue.pop t.queues.(d)) ]
-                 else []))
-      in
+      let input = ref [] in
+      if t.state.(s) <> Quarantined then
+        Array.iter
+          (fun d ->
+            if
+              (not (Queue.is_empty t.queues.(d)))
+              && (not (List.mem d t.stuck))
+              && Machine.device_status m d = 0
+            then
+              if List.mem d t.pending_drops then begin
+                t.pending_drops <- remove_one d t.pending_drops;
+                ignore (Queue.pop t.queues.(d))
+              end
+              else input := (d, Queue.pop t.queues.(d)) :: !input)
+          t.shard_devices.(s);
+      let input = List.rev !input in
       let out = Sue.step t.kernels.(s) input in
       List.iter
         (fun (d, w) ->

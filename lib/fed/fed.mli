@@ -136,10 +136,13 @@ val build : ?policy:policy -> ?plan:Fault_plan.t -> ?monitor:bool -> spec -> t
 val step : t -> unit
 (** One federation step: due heals and faults; NIC egress (channel-end
     drain plus heartbeat) for powered shards; one {!Net.step}; delivery
-    parsing (checksum validation, heartbeat bookkeeping); ring injection;
-    flow-controlled external input, one {!Sue.step}, a {!Recover.tick}
-    and a monitor observation per powered shard; then the supervisor's
-    timeout check. *)
+    parsing (checksum validation, heartbeat bookkeeping) of every box's
+    log, taken with {!Net.hand_over}; ring injection; flow-controlled
+    external input, one {!Sue.step}, a {!Recover.tick} and a monitor
+    observation per powered shard; then the supervisor's timeout check.
+    Because every box is handed over every step, the net retains nothing
+    from one step to the next: a step costs the traffic it carries, not
+    the length of the run behind it. *)
 
 val run : t -> steps:int -> unit
 
@@ -148,7 +151,12 @@ val run : t -> steps:int -> unit
 val shards : t -> int
 val links : t -> int
 val kernel : t -> shard:int -> Sue.t
+
 val net : t -> Net.t
+(** The inter-shard net. {!step} hands every box over, so {!Net.trace}
+    and {!Net.outputs} on it read nothing between steps; its
+    {!Net.link_stats} and {!Net.telemetry} cover the whole run. *)
+
 val powered : t -> shard:int -> bool
 
 (** The supervisor's view of one shard. *)

@@ -53,7 +53,7 @@ let parked sup =
    log intact); isolated parks take per-regime restarts. Budgets bound
    both, so a regime that keeps crashing (or whose checkpoint is corrupt)
    is eventually abandoned — recovery must not become a crash loop. *)
-let tick sup =
+let supervise sup =
   let actions = ref [] in
   let act a = actions := a :: !actions; sup.log <- a :: sup.log in
   (* a give-up is an action too — callers watching the returned list see
@@ -92,4 +92,8 @@ let tick sup =
       victims);
   List.rev !actions
 
-let fully_recovered sup = parked sup = [] && sup.abandoned = []
+(* [parked sup] is empty exactly when no status word reads parked, so a
+   round on a kernel with nothing to recover skips the per-colour scan. *)
+let tick sup = if Sue.any_parked sup.sue then supervise sup else []
+
+let fully_recovered sup = (not (Sue.any_parked sup.sue)) && sup.abandoned = []

@@ -43,6 +43,9 @@ val tick : t -> action list
     on the rest. Returns this round's actions in order; [[]] when nothing
     was parked. *)
 
+val parked : t -> Sep_model.Colour.t list
+(** The colours whose regimes are parked right now, in regime order. *)
+
 val restart_count : t -> Sep_model.Colour.t -> int
 val warm_reboots : t -> int
 

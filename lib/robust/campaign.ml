@@ -116,18 +116,18 @@ type runner = {
 
 let flip_phys m a bit = Machine.write_phys m a (Machine.read_phys m a lxor (1 lsl bit))
 
-let apply r fault =
-  let m = Sue.machine r.t in
-  match (fault : Fault_plan.fault) with
+let strike t (fault : Fault_plan.fault) =
+  let m = Sue.machine t in
+  match fault with
   | Mem_flip { colour; offset; bit } ->
-    let base, size = Sue.partition_bounds r.t colour in
+    let base, size = Sue.partition_bounds t colour in
     flip_phys m (base + (offset mod size)) bit
-  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base r.t colour + slot) bit
+  | Saved_reg_flip { colour; slot; bit } -> flip_phys m (Sue.save_area_base t colour + slot) bit
   | Guard_smash { index } ->
-    let guards = Array.of_list (Sue.guard_addrs r.t) in
+    let guards = Array.of_list (Sue.guard_addrs t) in
     flip_phys m guards.(index mod Array.length guards) 7
   | Chan_flip { chan; which; word; bit } -> begin
-    match Sue.channel_area r.t chan with
+    match Sue.channel_area t chan with
     | None -> ()
     | Some (send_area, recv_area, cap) ->
       let area = match which with Fault_plan.Send_end -> send_area | Fault_plan.Recv_end -> recv_area in
@@ -136,14 +136,23 @@ let apply r fault =
   | Rx_latch_flip { device; bit } ->
     let data, status = Machine.device_regs m device in
     Machine.set_device_regs m device ~data:(data lxor (1 lsl bit)) ~status
-  | Drop_input { device } -> r.pending_drops <- device :: r.pending_drops
   | Spurious_irq { device } -> Machine.raise_irq m device
+  | Drop_input _ | Duplicate_irq _ | Stuck_device _ | Shard_crash _ | Link_partition _
+  | Frame_tamper _ ->
+    ()
+
+let apply r fault =
+  match (fault : Fault_plan.fault) with
+  | Drop_input { device } -> r.pending_drops <- device :: r.pending_drops
   | Duplicate_irq { device } -> r.dup_after <- device :: r.dup_after
   | Stuck_device { device } -> r.stuck <- device :: r.stuck
   (* Node-level faults have no meaning against a single kernel; the
      federation driver ({!Sep_fed.Fed}) applies them. Single-kernel plans
      never contain them (no [node_space] is ever passed here). *)
   | Shard_crash _ | Link_partition _ | Frame_tamper _ -> ()
+  | Mem_flip _ | Saved_reg_flip _ | Guard_smash _ | Chan_flip _ | Rx_latch_flip _
+  | Spurious_irq _ ->
+    strike r.t fault
 
 let remove_one x xs =
   let rec go acc = function

@@ -100,6 +100,14 @@ val subjects : Scenarios.instance list
     ["greedy-watchdog"], the preemptive instance re-hosted without a
     quantum so only the watchdog keeps both regimes live. *)
 
+val strike : Sue.t -> Fault_plan.fault -> unit
+(** Apply a plan's machine-level fault to a kernel, between instructions:
+    a flipped bit in a partition, save area, guard word, channel ring or
+    Rx latch, or a spurious interrupt. The input-path faults
+    ([Drop_input], [Duplicate_irq], [Stuck_device]) act on the stepping
+    wrapper's arrivals and the node-level ones on a federation, so here
+    they do nothing. *)
+
 type monitored = {
   mc_case : case;
   mc_first_violation : (int * Sep_core.Separability.failure) option;

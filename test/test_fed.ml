@@ -398,6 +398,26 @@ let test_chaos_digest () =
           (Fed_campaign.report_to_jsonl
              (Fed_campaign.run ~seed:42 ~steps:300 ~count:8 Fed_scenarios.pair))))
 
+(* -- Memory ------------------------------------------------------------------- *)
+
+(* The federation hands every box's log over once per step, so its net
+   keeps the traffic in flight and nothing else: what it holds after
+   8,000 steps of a service deployment's traffic is what it held after
+   2,000. A net that kept its logs would hold four times as much. *)
+let test_net_does_not_grow () =
+  let svc = Sep_svc.Svc.build ~seed:42 Sep_apps.Fed_services.file_server in
+  let net_words () =
+    Obj.reachable_words (Obj.repr (Fed.net (Sep_svc.Svc.fed svc)))
+  in
+  Sep_svc.Svc.run svc ~steps:2000;
+  let early = net_words () in
+  Sep_svc.Svc.run svc ~steps:6000;
+  let late = net_words () in
+  check Alcotest.bool
+    (Fmt.str "net words after 8000 steps (%d) within 5%% of after 2000 (%d)" late early)
+    true
+    (abs (late - early) * 20 <= early)
+
 let () =
   Alcotest.run "fed"
     [
@@ -433,4 +453,5 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Quick test_chaos_deterministic;
           Alcotest.test_case "jsonl digest pinned" `Quick test_chaos_digest;
         ] );
+      ("memory", [ Alcotest.test_case "net does not grow" `Quick test_net_does_not_grow ]);
     ]

@@ -211,6 +211,89 @@ let test_watch_detects_bugs () =
       (Sue.Input_crosstalk, 3, 13);
     ]
 
+(* Every watch report, pinned: each scenario clean and under each seeded
+   bug, deep-checked at every step of a drip schedule. The digest
+   covers the state and check totals, the per-condition counts and every
+   rendered failure, plus the first violating step, so a deep check that
+   builds a post-INPUT state or an abstraction from the wrong state moves
+   it. Update a pin only for an intended change to what the monitor
+   checks or reports. *)
+let watch_digest (inst : Scenarios.instance) bugs =
+  let t = Sue.build ~bugs inst.Scenarios.cfg in
+  let w = Monitor.watch ~period:1 ~inputs:inst.Scenarios.alphabet t in
+  List.iter
+    (fun input ->
+      ignore (Sue.step t input);
+      Monitor.observe w)
+    (drip inst 180);
+  let first =
+    match Monitor.watch_first_violation w with
+    | Some (step, f) -> Printf.sprintf "%d:%d" step f.Separability.condition
+    | None -> "-"
+  in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|%d|%s"
+          (Json.to_string (Separability.report_to_json (Monitor.watch_report w)))
+          (Monitor.deep_checks w) first))
+
+let test_watch_reports_pinned () =
+  let pins =
+    [
+      ("pipeline/clean", "9b4a8172b21989da13257121474b28b8");
+      ("pipeline/forget-register-save", "194fb94997e9a5a3bec5dacabb6df910");
+      ("pipeline/partition-hole", "f097e02d51167060ba648ebe1e355182");
+      ("pipeline/misroute-interrupt", "9b4a8172b21989da13257121474b28b8");
+      ("pipeline/misroute-device-input", "35dc3539cefa38c3ae2e445ba5352b38");
+      ("pipeline/output-leak", "9b4a8172b21989da13257121474b28b8");
+      ("pipeline/schedule-on-foreign-state", "90448f4797c30eadd2bcd32275767599");
+      ("pipeline/uncut-channel", "6ed07d4b1c00f6e6276993d9dba6777f");
+      ("pipeline/input-crosstalk", "727878303f45f7ccdb9bedb25c2c68f7");
+      ("interrupt/clean", "fecdbfce80990ce8ab682c7b3f5c11d0");
+      ("interrupt/forget-register-save", "fecdbfce80990ce8ab682c7b3f5c11d0");
+      ("interrupt/partition-hole", "ed651cb0267106e418955033f446bd56");
+      ("interrupt/misroute-interrupt", "662171c32ce22530bdd145c804d09435");
+      ("interrupt/misroute-device-input", "d6c8e48e3b5c93ebbe86225ca5c7879d");
+      ("interrupt/output-leak", "fecdbfce80990ce8ab682c7b3f5c11d0");
+      ("interrupt/schedule-on-foreign-state", "c614d7a572fa695cfa18b0df1f04f9c5");
+      ("interrupt/uncut-channel", "fecdbfce80990ce8ab682c7b3f5c11d0");
+      ("interrupt/input-crosstalk", "087a724a678bdfe72c97f4eb27cee64c");
+      ("snfe-micro/clean", "a0cc8dab52b0e8a56bcf1c030ff83a39");
+      ("snfe-micro/forget-register-save", "6309e6342826e341199fe5570181d3bf");
+      ("snfe-micro/partition-hole", "cd5d33e4e2434c72ffbb614b3022af66");
+      ("snfe-micro/misroute-interrupt", "a0cc8dab52b0e8a56bcf1c030ff83a39");
+      ("snfe-micro/misroute-device-input", "81f5d58af987629757fab51095e61fa7");
+      ("snfe-micro/output-leak", "a0cc8dab52b0e8a56bcf1c030ff83a39");
+      ("snfe-micro/schedule-on-foreign-state", "dea0c073c05ac46540386d6ea2cbb785");
+      ("snfe-micro/uncut-channel", "3dbcc8287aa0a54c69ee10a93284f6e0");
+      ("snfe-micro/input-crosstalk", "4b9d02d24b24538abf28b1691fb573e9");
+      ("preemptive/clean", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/forget-register-save", "01cc5834e8aa21285a981fd51e13b23a");
+      ("preemptive/partition-hole", "25ab44a84f6ff5c6d549fb62f279be5e");
+      ("preemptive/misroute-interrupt", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/misroute-device-input", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/output-leak", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/schedule-on-foreign-state", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/uncut-channel", "c108231bf57784973c04fddb311f3c97");
+      ("preemptive/input-crosstalk", "c108231bf57784973c04fddb311f3c97");
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (inst : Scenarios.instance) ->
+        List.map
+          (fun bugs ->
+            let label =
+              match bugs with
+              | [ bug ] -> Fmt.str "%s/%a" inst.Scenarios.label Sue.pp_bug bug
+              | _ -> inst.Scenarios.label ^ "/clean"
+            in
+            (label, watch_digest inst bugs))
+          ([] :: List.map (fun b -> [ b ]) Sue.all_bugs))
+      Scenarios.all
+  in
+  check Alcotest.(list (pair string string)) "watch report digests" pins got
+
 (* -- the campaign hook ------------------------------------------------------- *)
 
 let test_campaign_monitored_case () =
@@ -245,6 +328,7 @@ let () =
         [
           Alcotest.test_case "clean kernel stays clean" `Quick test_watch_clean;
           Alcotest.test_case "realized-state bugs flagged" `Quick test_watch_detects_bugs;
+          Alcotest.test_case "reports pinned" `Quick test_watch_reports_pinned;
         ] );
       ( "campaign",
         [ Alcotest.test_case "monitored case" `Quick test_campaign_monitored_case ] );

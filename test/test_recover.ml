@@ -15,6 +15,7 @@ module Proof = Sep_recover.Proof
 module Component = Sep_model.Component
 module Topology = Sep_model.Topology
 module Campaign = Sep_robust.Campaign
+module Fault_plan = Sep_robust.Fault_plan
 module Net = Sep_distributed.Net
 module Diff = Sep_check.Diff
 module Fuzz = Sep_check.Fuzz
@@ -346,6 +347,56 @@ let test_fuzz_recovery_clean_and_covers_restarts () =
   in
   Alcotest.(check bool) "restart coverage keys lit" true (restartish <> [])
 
+(* -- The supervisor's shortcut ------------------------------------------------ *)
+
+(* [Recover.tick] skips its per-colour scan when [Sue.any_parked] reads
+   no parked status word. The shortcut is exact only if the two agree on
+   every state a supervised kernel passes through: after each step (a
+   park may just have happened) and after each round (restarts and warm
+   reboots may just have cleared it). The kernels run the recovery
+   campaign's plans — single faults plus three-fault stress plans — so
+   regimes park, restart, warm-reboot and are given up on. *)
+let test_any_parked_exact () =
+  let parked_seen = ref 0 and restarts = ref 0 and reboots = ref 0 and give_ups = ref 0 in
+  let steps = 200 in
+  List.iter
+    (fun (sc : Scenarios.instance) ->
+      let cfg = sc.Scenarios.cfg in
+      let plans =
+        Fault_plan.generate ~seed:42 ~steps ~count:40 cfg
+        @ Fault_plan.generate_multi ~seed:42 ~steps ~count:20 ~faults_per_plan:3 cfg
+      in
+      List.iter
+        (fun (plan : Fault_plan.t) ->
+          let t = Sue.build cfg in
+          let sup = Recover.create t in
+          let agree when_ =
+            let scan = Recover.parked sup <> [] in
+            if scan then incr parked_seen;
+            if Sue.any_parked t <> scan then
+              Alcotest.failf "%s, plan %s, %s: any_parked %b but the scan says %b"
+                sc.Scenarios.label plan.Fault_plan.label when_ (Sue.any_parked t) scan
+          in
+          let inputs = Scenarios.drip sc.Scenarios.alphabet in
+          for n = 0 to steps - 1 do
+            List.iter (fun (at, f) -> if at = n then Campaign.strike t f) plan.Fault_plan.faults;
+            ignore (Sue.step t (inputs n));
+            agree (Fmt.str "after step %d" n);
+            List.iter
+              (function
+                | Recover.Restarted _ -> incr restarts
+                | Recover.Warm_rebooted _ -> incr reboots
+                | Recover.Gave_up _ -> incr give_ups)
+              (Recover.tick sup);
+            agree (Fmt.str "after round %d" n)
+          done)
+        plans)
+    Scenarios.all;
+  Alcotest.(check bool) "regimes parked" true (!parked_seen > 0);
+  Alcotest.(check bool) "regimes restarted" true (!restarts > 0);
+  Alcotest.(check bool) "kernels warm-rebooted" true (!reboots > 0);
+  Alcotest.(check bool) "regimes given up on" true (!give_ups > 0)
+
 let () =
   Alcotest.run "recover"
     [
@@ -370,6 +421,7 @@ let () =
           Alcotest.test_case "budget exhaustion" `Quick test_supervisor_budget_exhaustion;
           Alcotest.test_case "gives up on a bad checkpoint" `Quick
             test_supervisor_gives_up_on_bad_checkpoint;
+          Alcotest.test_case "parked shortcut is exact" `Quick test_any_parked_exact;
         ] );
       ( "proof obligations",
         [

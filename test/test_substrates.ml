@@ -222,6 +222,92 @@ let e7_random =
       in
       traces_equal topo ~steps:30 ~externals)
 
+(* A lossy reliable run, pinned: the link model's draws (drop, then
+   reorder — drawn even on an empty line — then dup), where a reordered
+   frame lands, which frames the go-back-N sender resends and when, and
+   what a partition and a tamper destroy all show in the boxes' traces
+   and the link counters. Update the pin only for an intended change to
+   the link model or the protocol. *)
+let lossy_run_digest () =
+  let link = { Net.lm_seed = 3; lm_drop = 20; lm_dup = 15; lm_reorder = 25 } in
+  let net = Net.build ~link (relay_topology ~capacity:3 ()) in
+  for n = 0 to 119 do
+    if n = 30 then Net.set_wire_up net ~wire:0 false;
+    if n = 36 then Net.set_wire_up net ~wire:0 true;
+    if n = 52 then
+      ignore (Net.tamper net ~wire:0 (fun m -> if m.[1] = '4' then None else Some (m ^ "~")));
+    Net.step net ~externals:(if n < 60 then [ (a, Fmt.str "w%d" n) ] else [])
+  done;
+  let obs = function
+    | Component.Saw e -> Fmt.str "saw %a" Component.pp_event e
+    | Component.Did x -> Fmt.str "did %a" Component.pp_action x
+  in
+  let s = Net.link_stats net in
+  let text =
+    String.concat "\n"
+      (List.concat_map
+         (fun col -> Colour.name col :: List.map obs (Net.trace net col))
+         (Topology.colours (relay_topology ()))
+      @ [
+          Fmt.str "%d %d %d %d %d %d %d" s.Net.ls_in_flight s.ls_drops s.ls_lossy_drops
+            s.ls_retransmits s.ls_acks s.ls_backoff_ceiling s.ls_partition_drops;
+        ])
+  in
+  Digest.to_hex (Digest.string text)
+
+let test_net_lossy_pinned () =
+  Alcotest.(check string) "lossy run digest" "0b8c336641a66d710a3f0990b1d69a0e" (lossy_run_digest ())
+
+(* Handing a box's log over after every step loses nothing and repeats
+   nothing: the hand-overs, concatenated, are the trace of an identical
+   net that was never handed over. The link is lossy and the run has a
+   partition and a tamper, so the protocol retransmits and the boxes see
+   forged payloads. A second hand-over with no step in between is
+   empty. *)
+let test_net_hand_over () =
+  let link = { Net.lm_seed = 7; lm_drop = 20; lm_dup = 10; lm_reorder = 10 } in
+  let colours = Topology.colours (relay_topology ()) in
+  let kept = Net.build ~link (relay_topology ()) in
+  let handed = Net.build ~link (relay_topology ()) in
+  let taken = List.map (fun col -> (col, ref [])) colours in
+  let tampered = ref 0 in
+  let on_both f =
+    f kept;
+    f handed
+  in
+  for n = 0 to 79 do
+    if n = 12 then on_both (fun net -> Net.set_wire_up net ~wire:0 false);
+    if n = 18 then on_both (fun net -> Net.set_wire_up net ~wire:0 true);
+    if n = 25 then
+      on_both (fun net ->
+          tampered :=
+            !tampered
+            + Net.tamper net ~wire:0 (fun m ->
+                  if String.length m mod 2 = 0 then None else Some (m ^ "?")));
+    let externals = if n < 40 then [ (a, Fmt.str "m%d" n) ] else [] in
+    on_both (fun net -> Net.step net ~externals);
+    List.iter (fun (col, acc) -> acc := !acc @ Net.hand_over handed col) taken
+  done;
+  List.iter
+    (fun (col, acc) ->
+      let label = Colour.name col in
+      Alcotest.(check bool) (label ^ ": hand-overs = trace") true (!acc = Net.trace kept col);
+      Alcotest.(check (list string))
+        (label ^ ": hand-overs' outputs = outputs")
+        (Net.outputs kept col)
+        (List.filter_map
+           (function Component.Did (Component.Output m) -> Some m | _ -> None)
+           !acc);
+      Alcotest.(check bool) (label ^ ": nothing left after the hand-over") true
+        (Net.trace handed col = [] && Net.hand_over handed col = []))
+    taken;
+  Alcotest.(check bool) "the run delivered something" true (Net.outputs kept c <> []);
+  Alcotest.(check bool) "the tamper hit frames in transit" true (!tampered > 0);
+  let stats = Net.link_stats kept in
+  Alcotest.(check bool) "the link lost and resent frames" true
+    (stats.Net.ls_lossy_drops > 0 && stats.Net.ls_retransmits > 0 && stats.Net.ls_partition_drops > 0);
+  Alcotest.(check bool) "both nets ran the same" true (stats = Net.link_stats handed)
+
 let () =
   Alcotest.run "substrates"
     [
@@ -232,6 +318,8 @@ let () =
           Alcotest.test_case "sustained backpressure" `Quick test_net_backpressure_sustained;
           Alcotest.test_case "cut wire under sustained sends" `Quick test_net_cut_wire_sustained;
           Alcotest.test_case "wire tamper" `Quick test_net_tamper;
+          Alcotest.test_case "hand-over keeps nothing, loses nothing" `Quick test_net_hand_over;
+          Alcotest.test_case "lossy run pinned" `Quick test_net_lossy_pinned;
         ] );
       ( "regime kernel",
         [

@@ -227,10 +227,80 @@ let test_campaign_digest () =
           (Svc_campaign.report_to_jsonl
              (Svc_campaign.run ~seed:42 ~steps:2000 ~soak:1 Fed_services.file_server))))
 
+(* -- Whole runs pinned -------------------------------------------------------- *)
+
+let outcome_text = function
+  | Svc.O_committed v -> Printf.sprintf "committed:%d" v
+  | Svc.O_replied (s, v) -> Printf.sprintf "replied:%d:%d" s v
+  | Svc.O_degraded v -> Printf.sprintf "degraded:%d" v
+  | o -> Svc.outcome_name o
+
+(* Everything a run reports, in one text: the records (outcome and
+   resolve step included), the effects ledger, the contract, and the
+   federation's audit trail, link statistics, deep-check count, per-device
+   transcript and first violation. *)
+let result_digest (r : Svc.result) =
+  let b = Buffer.create 65536 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (rr : Svc.record) ->
+      add "r %d %d %d %d %d %d %s %d\n" rr.Svc.rr_client rr.Svc.rr_rid rr.Svc.rr_op rr.Svc.rr_arg
+        rr.Svc.rr_issued rr.Svc.rr_attempts
+        (match rr.Svc.rr_outcome with Some o -> outcome_text o | None -> "-")
+        rr.Svc.rr_resolved)
+    r.Svc.sr_records;
+  List.iter (fun (c, rid, op, at) -> add "e %d %d %d %d\n" c rid op at) r.Svc.sr_effects;
+  add "c %s\n" (Sep_util.Json.to_string (Svc.contract_to_json r.Svc.sr_contract));
+  let f = r.Svc.sr_fed in
+  List.iter
+    (fun (n, e) -> add "v %d %s\n" n (Sep_util.Json.to_string (Fed.node_event_to_json e)))
+    f.Fed.fob_events;
+  let s = f.Fed.fob_stats in
+  add "s %d %d %d %d %d %d %d\n" s.Sep_distributed.Net.ls_in_flight s.ls_drops s.ls_lossy_drops
+    s.ls_retransmits s.ls_acks s.ls_backoff_ceiling s.ls_partition_drops;
+  add "d %d\n" f.Fed.fob_deep_checks;
+  List.iter
+    (fun (d, ws) -> add "o %d %s\n" d (String.concat "," (List.map string_of_int ws)))
+    f.Fed.fob_outputs;
+  (match f.Fed.fob_first_violation with
+  | Some (shard, at) -> add "f %d %d\n" shard at
+  | None -> add "f -\n");
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The benchmark's eight service runs (every deployment at seeds 42 and
+   43, monitored), cut to 4,000 steps plus the drain: any change to what
+   a service run does — a record, an effect, a node event, a link
+   counter, a deep check, an output word — moves one of these digests.
+   Update a pin only for an intended change to service behaviour. *)
+let test_runs_pinned () =
+  let pins =
+    [
+      ("fed-fs", 42, "0ff3c718fe1ea9d4c934dde5fd2f2d92");
+      ("fed-fs", 43, "e9506b052f6608dbc5d94f05824219e0");
+      ("fed-print", 42, "2f33478d6a0d9ded5fb6e646b1c5f0f1");
+      ("fed-print", 43, "0c1376415a10e088caeab293bf19778e");
+      ("fed-auth", 42, "1cc38ba9f38f0cd82929b7c9452726ae");
+      ("fed-auth", 43, "7470e4a51ce47a8ff98af50ae7705b27");
+      ("fed-guard", 42, "d60bd5aa7276969577f2614a923c6cc6");
+      ("fed-guard", 43, "ed6bdaf0e86c1a8935c0e9c60747c26c");
+    ]
+  in
+  let got =
+    List.map
+      (fun (name, seed, _) ->
+        let dep = Option.get (Fed_services.find name) in
+        let t = Svc.build ~monitor:true ~seed dep in
+        Svc.run t ~steps:4000;
+        (name, seed, result_digest (Svc.finish t)))
+      pins
+  in
+  let row = Alcotest.(triple string int string) in
+  check (Alcotest.list row) "service run digests" pins got
+
 (* -- Fed batched frames ------------------------------------------------------ *)
 
-(* The NIC batches a ring drain into one frame; a legacy single-word
-   frame must still decode, and a tampered batch must still be rejected. *)
+(* The NIC carries each ring drain as one checksummed frame: on a clean
+   run every frame decodes at its destination and the words cross. *)
 let test_batch_frames () =
   let ob =
     let t = Fed.build Sep_fed.Fed_scenarios.pair in
@@ -268,5 +338,6 @@ let () =
           quick "jobs identical" test_campaign_jobs_identical;
           quick "jsonl digest pinned" test_campaign_digest;
         ] );
+      ("pinned", [ quick "service runs" test_runs_pinned ]);
       ("fed-batch", [ quick "clean batches" test_batch_frames ]);
     ]
