@@ -15,7 +15,9 @@
 # any broken exactly-once contract, lost or duplicated effect, or unclean
 # shard monitor), a parallel-determinism
 # check (the -j 2 JSON reports, the soak's included, must be
-# byte-identical to -j 1), a replay
+# byte-identical to -j 1, and so must the sampled checker's
+# verify-random verdicts on three scenarios and its failing report on a
+# seeded output leak, which must exit 1), a replay
 # of every checked-in regression corpus case, and the example programs.
 # The performance gate is the repository benchmark (BENCHMARK.json), run
 # parent-vs-change on one machine, not a step here.
@@ -69,6 +71,20 @@ diff "$tmpdir/serve-j1.jsonl" "$tmpdir/serve-j2.jsonl"
 dune exec bin/rushby.exe -- serve --steps 5000 --count 2 -j 1 --json "$tmpdir/soak-j1.jsonl"
 dune exec bin/rushby.exe -- serve --steps 5000 --count 2 -j 2 --json "$tmpdir/soak-j2.jsonl"
 diff "$tmpdir/soak-j1.jsonl" "$tmpdir/soak-j2.jsonl"
+# The sampled checker: verify-random walks in parallel, and its verdicts
+# and minimized counterexamples must not depend on the job count.
+for scenario in pipeline interrupt snfe-micro; do
+  dune exec bin/rushby.exe -- verify-random --scenario "$scenario" -j 1 > "$tmpdir/vr-$scenario-j1.txt"
+  dune exec bin/rushby.exe -- verify-random --scenario "$scenario" -j 2 > "$tmpdir/vr-$scenario-j2.txt"
+  diff "$tmpdir/vr-$scenario-j1.txt" "$tmpdir/vr-$scenario-j2.txt"
+done
+for j in 1 2; do
+  status=0
+  dune exec bin/rushby.exe -- verify-random --scenario pipeline --bug output-leak -j "$j" \
+    > "$tmpdir/vr-leak-j$j.txt" || status=$?
+  [ "$status" -eq 1 ]
+done
+diff "$tmpdir/vr-leak-j1.txt" "$tmpdir/vr-leak-j2.txt"
 
 # The corpus directory ships non-empty, but guard the glob anyway: an
 # unexpanded pattern would otherwise reach --replay-corpus verbatim.

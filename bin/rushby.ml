@@ -137,7 +137,9 @@ let verify_run (scenario, impl) bugs uncut trace_json =
   | None -> ()
   | Some file ->
     (* the exploration's kernel counters accumulate in the system's shared
-       initial instance *)
+       initial instance: they count the search's own work, one INPUT per
+       state and input and one NEXTOP per post-INPUT class, plus the
+       operations condition 1 runs in states that are never post-INPUT *)
     let kernel_counters =
       match sys.Sep_model.System.initial with
       | t0 :: _ -> Some (Sep_core.Sue.telemetry t0)

@@ -67,69 +67,152 @@ let span_cond12 = Sep_obs.Span.make "separability.cond1_2"
 let span_cond3456 = Sep_obs.Span.make "separability.cond3_4_5_6"
 let span_cond4 = Sep_obs.Span.make "separability.cond4"
 
-(* Conditions 1 and 2 examine each state's actually-selected operation. *)
-let check_ops sys acc states =
-  let examine s =
+(* The states under check, indexed. [succ.(k)] is the index of NEXTOP
+   applied to state [k], or -1 when the table does not hold it; [view ci
+   k] is Phi of the [ci]-th colour at state [k], and [images ci k] the
+   same after each input in state [k]. *)
+type ('s, 'a) table = {
+  states : 's array;
+  succ : int array;
+  colours : Colour.t array;
+  view : int -> int -> 'a;
+  images : int -> int -> 'a array;
+}
+
+(* The explored graph: a state's post-INPUT states and op successor are
+   states of the graph, so every view is a lookup. Each Phi value is
+   computed once, however many checks read it. *)
+let table_of_graph sys (g : _ System.graph) =
+  let colours = Array.of_list sys.System.colours in
+  let cache = Array.map (fun _ -> Array.make (Array.length g.System.states) None) colours in
+  let view ci k =
+    match cache.(ci).(k) with
+    | Some a -> a
+    | None ->
+      let a = sys.System.abstract colours.(ci) g.System.states.(k) in
+      cache.(ci).(k) <- Some a;
+      a
+  in
+  {
+    states = g.System.states;
+    succ = g.System.after_op;
+    colours;
+    view;
+    images = (fun ci k -> Array.map (view ci) g.System.after_input.(k));
+  }
+
+(* A sample keeps nothing it derives: each colour's pass derives the
+   post-INPUT states again, and Phi is computed where it is read. Kept,
+   they would live across the whole check, and promoting them costs the
+   collector more than computing them again. *)
+let table_of_states sys states =
+  let states = Array.of_list states in
+  let colours = Array.of_list sys.System.colours in
+  let inputs = Array.of_list sys.System.inputs in
+  let view ci k = sys.System.abstract colours.(ci) states.(k) in
+  {
+    states;
+    succ = Array.make (Array.length states) (-1);
+    colours;
+    view;
+    images =
+      (fun ci k ->
+        Array.map (fun i -> sys.System.abstract colours.(ci) (sys.System.input states.(k) i)) inputs);
+  }
+
+(* The index of [c] among the system's colours. *)
+let colour_index t c =
+  let rec go i =
+    if i = Array.length t.colours then invalid_arg "Separability: COLOUR outside the colour set"
+    else if Colour.equal t.colours.(i) c then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Conditions 1 and 2 examine each state's actually-selected operation.
+   The views after it are lookups where the table holds the successor;
+   otherwise the operation runs here. *)
+let check_ops sys acc t =
+  for k = 0 to Array.length t.states - 1 do
+    let s = t.states.(k) in
     let op = sys.System.nextop s in
     let c = sys.System.colour_of s in
-    let s' = op.System.op_apply s in
+    let ci = colour_index t c in
+    let after =
+      let succ = t.succ.(k) in
+      if succ >= 0 then fun ci' -> t.view ci' succ
+      else begin
+        let s' = op.System.op_apply s in
+        fun ci' -> sys.System.abstract t.colours.(ci') s'
+      end
+    in
     tick acc 1;
-    let concrete = sys.System.abstract c s' in
+    let concrete = after ci in
     let abstract_op = sys.System.abop c op in
-    let spec = abstract_op.System.abop_apply (sys.System.abstract c s) in
+    let spec = abstract_op.System.abop_apply (t.view ci k) in
     if not (sys.System.equal_abstate concrete spec) then
       record acc 1 c
         (Fmt.str "op %s from state@ %a@ yields@ %a@ but the abstract machine specifies@ %a"
            op.System.op_name sys.System.pp_state s sys.System.pp_abstate concrete
            sys.System.pp_abstate spec);
-    let inactive c' =
-      if not (Colour.equal c' c) then begin
-        tick acc 2;
-        let before = sys.System.abstract c' s and after = sys.System.abstract c' s' in
-        if
-          (not (sys.System.equal_abstate before after))
-          && not (sys.System.sanctioned_interference c c' before after)
-        then
-          record acc 2 c'
-            (Fmt.str "op %s (on behalf of %a) changes %a's view from@ %a@ to@ %a"
-               op.System.op_name Colour.pp c Colour.pp c' sys.System.pp_abstate before
-               sys.System.pp_abstate after)
-      end
-    in
-    List.iter inactive sys.System.colours
-  in
-  List.iter examine states
+    Array.iteri
+      (fun ci' c' ->
+        if not (Colour.equal c' c) then begin
+          tick acc 2;
+          let before = t.view ci' k and after = after ci' in
+          if
+            (not (sys.System.equal_abstate before after))
+            && not (sys.System.sanctioned_interference c c' before after)
+          then
+            record acc 2 c'
+              (Fmt.str "op %s (on behalf of %a) changes %a's view from@ %a@ to@ %a"
+                 op.System.op_name Colour.pp c Colour.pp c' sys.System.pp_abstate before
+                 sys.System.pp_abstate after)
+        end)
+      t.colours
+  done
 
-(* Group the given inputs by their c-projection; within a group the
-   post-INPUT abstractions must agree (condition 4). *)
-let check_cond4 sys acc c s images =
-  Sep_obs.Span.time span_cond4 @@ fun () ->
+(* Condition 4 compares each input with the first earlier input of equal
+   c-projection: [partners.(j)] is that input's index, or -1 if input [j]
+   is the first of its projection. The pairing depends on c alone. *)
+let cond4_partners sys c inputs =
   let groups = ref [] in
-  let place (i, img) =
-    let proj = sys.System.extract_input c i in
-    match List.find_opt (fun (p, _, _) -> sys.System.equal_proj p proj) !groups with
-    | None -> groups := (proj, img, i) :: !groups
-    | Some (_, rep_img, rep_i) ->
-      tick acc 4;
-      if not (sys.System.equal_abstate img rep_img) then
-        record acc 4 c
-          (Fmt.str "inputs %a and %a have equal %a-components but give %a different views in state@ %a"
-             sys.System.pp_input i sys.System.pp_input rep_i Colour.pp c Colour.pp c
-             sys.System.pp_state s)
-  in
-  List.iter place images
+  Array.init (Array.length inputs) (fun j ->
+      let proj = sys.System.extract_input c inputs.(j) in
+      match List.find_opt (fun (p, _) -> sys.System.equal_proj p proj) !groups with
+      | None ->
+        groups := (proj, j) :: !groups;
+        -1
+      | Some (_, r) -> r)
+
+(* Within a group of equal c-projection, the post-INPUT abstractions
+   [imgs] of state [s] must agree (condition 4). *)
+let check_cond4 sys acc inputs partners c s imgs =
+  Sep_obs.Span.time span_cond4 @@ fun () ->
+  Array.iteri
+    (fun j r ->
+      if r >= 0 then begin
+        tick acc 4;
+        if not (sys.System.equal_abstate imgs.(j) imgs.(r)) then
+          record acc 4 c
+            (Fmt.str "inputs %a and %a have equal %a-components but give %a different views in state@ %a"
+               sys.System.pp_input inputs.(j) sys.System.pp_input inputs.(r) Colour.pp c Colour.pp c
+               sys.System.pp_state s)
+      end)
+    partners
 
 (* Conditions 3, 5, 6 compare states with equal Phi^c; we bucket by the
    abstraction and compare against a per-bucket representative. *)
-let check_views sys acc states =
-  let per_colour c =
+let check_views sys acc t =
+  let inputs = Array.of_list sys.System.inputs in
+  let per_colour ci c =
+    let partners = cond4_partners sys c inputs in
     (* bucket table keyed by abstraction hash *)
     let tbl = Hashtbl.create 64 in
-    let images s = List.map (fun i -> (i, sys.System.abstract c (sys.System.input s i))) sys.System.inputs in
-    let examine s =
-      let a = sys.System.abstract c s in
-      let imgs = images s in
-      check_cond4 sys acc c s imgs;
+    let examine k s =
+      let a = t.view ci k in
+      let imgs = t.images ci k in
+      check_cond4 sys acc inputs partners c s imgs;
       let out = sys.System.extract_output c (sys.System.output s) in
       let mine = Colour.equal (sys.System.colour_of s) c in
       let h = sys.System.hash_abstate a in
@@ -147,16 +230,16 @@ let check_views sys acc states =
         bucket_list := (a, s, imgs, out, op6) :: !bucket_list
       | Some (_, rep, rep_imgs, rep_out, rep_op) ->
         (* condition 3: same input, same effect on c's view *)
-        List.iter2
-          (fun (i, img) (_, rep_img) ->
+        Array.iteri
+          (fun j img ->
             tick acc 3;
-            if not (sys.System.equal_abstate img rep_img) then
+            if not (sys.System.equal_abstate img rep_imgs.(j)) then
               record acc 3 c
                 (Fmt.str
                    "states@ %a@ and@ %a@ look alike to %a but input %a changes %a's view differently"
-                   sys.System.pp_state s sys.System.pp_state rep Colour.pp c sys.System.pp_input i
-                   Colour.pp c))
-          imgs rep_imgs;
+                   sys.System.pp_state s sys.System.pp_state rep Colour.pp c sys.System.pp_input
+                   inputs.(j) Colour.pp c))
+          imgs;
         (* condition 5: same output components for c *)
         tick acc 5;
         if not (sys.System.equal_proj out rep_out) then
@@ -177,43 +260,39 @@ let check_views sys acc states =
                    sys.System.pp_state s sys.System.pp_state rep Colour.pp c name rep_name)
         end
     in
-    List.iter examine states
+    Array.iteri examine t.states
   in
-  List.iter per_colour sys.System.colours
+  Array.iteri per_colour t.colours
 
 (* The naive quantification: every pair of states, compared directly.
-   Post-INPUT images are precomputed per state so the quadratic part is
-   pure comparison. *)
-let check_views_pairwise sys acc states =
-  let arr = Array.of_list states in
-  let per_colour c =
+   Post-INPUT images are computed per state first so the quadratic part
+   is pure comparison. *)
+let check_views_pairwise sys acc t =
+  let inputs = Array.of_list sys.System.inputs in
+  let arr = t.states in
+  let per_colour ci c =
+    let partners = cond4_partners sys c inputs in
     let info =
-      Array.map
-        (fun s ->
-          let a = sys.System.abstract c s in
-          let imgs =
-            List.map (fun i -> sys.System.abstract c (sys.System.input s i)) sys.System.inputs
-          in
+      Array.mapi
+        (fun k s ->
           let out = sys.System.extract_output c (sys.System.output s) in
           let mine = Colour.equal (sys.System.colour_of s) c in
           let opname = if mine then Some (sys.System.nextop s).System.op_name else None in
-          (a, imgs, out, opname))
+          (t.view ci k, t.images ci k, out, opname))
         arr
     in
     Array.iteri
       (fun x s ->
-        check_cond4 sys acc c s
-          (List.map2 (fun i img -> (i, img)) sys.System.inputs
-             (let _, imgs, _, _ = info.(x) in
-              imgs));
+        let _, imgs, _, _ = info.(x) in
+        check_cond4 sys acc inputs partners c s imgs;
         for y = x + 1 to Array.length arr - 1 do
           let a1, imgs1, out1, op1 = info.(x) in
           let a2, imgs2, out2, op2 = info.(y) in
           if sys.System.equal_abstate a1 a2 then begin
-            List.iteri
-              (fun k img1 ->
+            Array.iteri
+              (fun j img1 ->
                 tick acc 3;
-                if not (sys.System.equal_abstate img1 (List.nth imgs2 k)) then
+                if not (sys.System.equal_abstate img1 imgs2.(j)) then
                   record acc 3 c
                     (Fmt.str "states@ %a@ and@ %a@ look alike to %a but an input affects them \
                               differently"
@@ -237,44 +316,45 @@ let check_views_pairwise sys acc states =
         done)
       arr
   in
-  List.iter per_colour sys.System.colours
+  Array.iteri per_colour t.colours
 
-let check_states_pairwise ?(max_failures = 20) sys states =
+(* Conditions 1 and 2, then [views] for 3-6, stopping at [max_failures]. *)
+let run sys t max_failures views =
   let acc = fresh max_failures in
   (try
-     Sep_obs.Span.time span_cond12 (fun () -> check_ops sys acc states);
-     Sep_obs.Span.time span_cond3456 (fun () -> check_views_pairwise sys acc states)
+     Sep_obs.Span.time span_cond12 (fun () -> check_ops sys acc t);
+     Sep_obs.Span.time span_cond3456 (fun () -> views sys acc t)
    with Enough -> ());
+  acc
+
+let report_of instance t acc =
   {
-    instance = sys.System.name ^ " (pairwise)";
-    states = List.length states;
+    instance;
+    states = Array.length t.states;
     checks = acc.checks;
     cond_checks = cond_checks_of acc;
     failures = List.rev acc.failures;
   }
 
-let run_checks sys states max_failures =
-  let acc = fresh max_failures in
-  (try
-     Sep_obs.Span.time span_cond12 (fun () -> check_ops sys acc states);
-     Sep_obs.Span.time span_cond3456 (fun () -> check_views sys acc states)
-   with Enough -> ());
+let check_states_pairwise ?(max_failures = 20) sys states =
+  let t = table_of_states sys states in
+  report_of (sys.System.name ^ " (pairwise)") t (run sys t max_failures check_views_pairwise)
+
+let run_checks sys t max_failures =
+  let acc = run sys t max_failures check_views in
   (* publish the frontier of the view-equivalence search as a live gauge
      (the domain-local registry merges into the global one at join) *)
   Sep_obs.Telemetry.set
     (Sep_obs.Telemetry.gauge (Sep_obs.Span.local ()) "separability.frontier")
     (float_of_int acc.reps);
-  {
-    instance = sys.System.name;
-    states = List.length states;
-    checks = acc.checks;
-    cond_checks = cond_checks_of acc;
-    failures = List.rev acc.failures;
-  }
+  report_of sys.System.name t acc
 
 let check ?state_limit ?(max_failures = 20) sys =
-  let states = Sep_obs.Span.time span_reachable (fun () -> System.reachable ?limit:state_limit sys) in
-  run_checks sys states max_failures
+  let t =
+    Sep_obs.Span.time span_reachable (fun () ->
+        table_of_graph sys (System.explore ?limit:state_limit sys))
+  in
+  run_checks sys t max_failures
 
 let report_to_json r =
   let module J = Sep_util.Json in
@@ -300,4 +380,5 @@ let report_to_json r =
              r.failures) );
     ]
 
-let check_states ?(max_failures = 20) sys states = run_checks sys states max_failures
+let check_states ?(max_failures = 20) sys states =
+  run_checks sys (table_of_states sys states) max_failures

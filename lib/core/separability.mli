@@ -26,7 +26,16 @@
     universally quantified over state {e pairs} with equal abstractions;
     the checker buckets states by [Phi^c] and compares each bucket member
     against a representative (equality being transitive, this covers all
-    pairs). *)
+    pairs).
+
+    Every entry point runs one condition core over an indexed table of
+    states. Over an explored graph ({!check}) a state's post-[INPUT]
+    states and [NEXTOP] successor are states of the graph, and [Phi^c] of
+    each state is computed once per colour and shared by every check
+    that reads it, so the system's [abop_apply] must not mutate its
+    argument (see {!Sep_model.System.abop}). Reports do not depend on the
+    sharing: checks, their order, and every failure detail are those of
+    a checker that recomputes each value where it is used. *)
 
 type failure = {
   condition : int;  (** 1–6 *)
@@ -67,8 +76,12 @@ val report_to_json : report -> Sep_util.Json.t
 
 val check : ?state_limit:int -> ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> report
 (** Exhaustive Proof of Separability over the reachable states of the
-    instance ({!Sep_model.System.reachable}, honouring [state_limit]).
-    Collects at most [max_failures] (default 20) counterexamples. *)
+    instance, checked off the graph {!Sep_model.System.explore} returns
+    (honouring [state_limit]): post-[INPUT] states and [NEXTOP]
+    successors are graph lookups, so no state is copied after the
+    search, and [NEXTOP] runs again only in states that are never
+    post-[INPUT] states. Collects at most [max_failures] (default 20)
+    counterexamples. *)
 
 val check_states :
   ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> 's list -> report
@@ -76,7 +89,12 @@ val check_states :
     sample — the randomized flavour used on instances too large to
     enumerate. The sample should contain [Phi^c]-equivalent state pairs
     (e.g. produced by perturbing non-[c] state), otherwise conditions
-    3, 5 and 6 hold vacuously. *)
+    3, 5 and 6 hold vacuously. A sample keeps nothing it derives: each
+    colour's pass derives the post-[INPUT] states again, because keeping
+    them (and [Phi^c] of the sample) across the check costs the collector
+    more than recomputing them. Over the reachable states, in
+    {!Sep_model.System.reachable} order, the report is the one {!check}
+    gives. *)
 
 val check_states_pairwise :
   ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> 's list -> report

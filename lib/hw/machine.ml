@@ -118,9 +118,9 @@ let set_flags t (z, n) =
   t.flag_z <- z;
   t.flag_n <- n
 
-(* The live slot array is private to its machine ([create], [copy],
-   [set_mmu] and [mmu] never share it), so slots of an unchanged count
-   are rewritten in place. *)
+(* The live slot array is private to its machine ([create], [copy] and
+   [set_mmu] never share it), so slots of an unchanged count are
+   rewritten in place. *)
 let set_mmu t ~base ~limit ~dev_slots =
   assert (base >= 0 && limit >= 0 && base + limit <= Array.length t.mem);
   t.mm.base <- base;
@@ -128,8 +128,6 @@ let set_mmu t ~base ~limit ~dev_slots =
   let n = Array.length dev_slots in
   if Array.length t.mm.dev_slots = n then Array.blit dev_slots 0 t.mm.dev_slots 0 n
   else t.mm.dev_slots <- Array.copy dev_slots
-
-let mmu t = (t.mm.base, t.mm.limit, Array.copy t.mm.dev_slots)
 
 let device_kind t d = t.devices.(d).kind
 
@@ -442,17 +440,37 @@ let copy t =
     touched = no_touches ();
   }
 
+let rec ints_from (a : int array) (b : int array) i =
+  i = Array.length a || (a.(i) = b.(i) && ints_from a b (i + 1))
+
+let same_ints (a : int array) (b : int array) = Array.length a = Array.length b && ints_from a b 0
+
+let same_kind x y =
+  match (x, y) with
+  | Rx, Rx | Tx, Tx | Xform Identity, Xform Identity -> true
+  | Xform (Xor_key k), Xform (Xor_key k') | Xform (Add_key k), Xform (Add_key k') -> k = k'
+  | (Rx | Tx | Xform _), _ -> false
+
+let same_device x y =
+  same_kind x.kind y.kind && x.data = y.data && x.status = y.status && Bool.equal x.irq y.irq
+
+let rec devices_from (a : device array) (b : device array) i =
+  i = Array.length a || (same_device a.(i) b.(i) && devices_from a b (i + 1))
+
+let same_mode x y = match (x, y) with User, User | Kernel, Kernel -> true | (User | Kernel), _ -> false
+
 (* The instruction counter is bookkeeping, not machine state: two runs that
    reach the same machine configuration by different paths are the same
-   state for verification purposes. *)
+   state for verification purposes. Every compare is on ints, bools or
+   constructors, field by field: no polymorphic compare. *)
 let equal a b =
-  a.mem = b.mem && a.regs = b.regs && a.flag_z = b.flag_z && a.flag_n = b.flag_n
-  && a.mm.base = b.mm.base && a.mm.limit = b.mm.limit && a.mm.dev_slots = b.mm.dev_slots
-  && a.cpu_mode = b.cpu_mode && a.frame = b.frame && a.mmu_shadow = b.mmu_shadow
-  && Array.for_all2
-       (fun (x : device) (y : device) ->
-         x.kind = y.kind && x.data = y.data && x.status = y.status && x.irq = y.irq)
-       a.devices b.devices
+  same_ints a.mem b.mem && same_ints a.regs b.regs
+  && Bool.equal a.flag_z b.flag_z && Bool.equal a.flag_n b.flag_n
+  && a.mm.base = b.mm.base && a.mm.limit = b.mm.limit && same_ints a.mm.dev_slots b.mm.dev_slots
+  && same_mode a.cpu_mode b.cpu_mode && same_ints a.frame b.frame
+  && same_ints a.mmu_shadow b.mmu_shadow
+  && Array.length a.devices = Array.length b.devices
+  && devices_from a.devices b.devices 0
 
 (* One word per device: kind tag, IRQ line, 16-bit status and data. *)
 let device_word d =

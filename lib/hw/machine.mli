@@ -127,8 +127,6 @@ val set_mmu : t -> base:int -> limit:int -> dev_slots:int array -> unit
 (** Program the MMU for the regime about to run: its partition window and
     the device ids granted to its slots. *)
 
-val mmu : t -> int * int * int array
-
 (** {1 Devices} *)
 
 val device_kind : t -> int -> device_kind

@@ -31,36 +31,64 @@ let step sys s i =
   let mid = sys.input s i in
   (sys.nextop mid).op_apply mid
 
-let reachable ?(limit = 200_000) sys =
-  (* hash -> the states seen with that hash; [equal_state] decides *)
+type 's graph = { states : 's array; after_input : int array array; after_op : int array }
+
+let explore ?(limit = 200_000) sys =
+  (* hash -> the (state, index) pairs seen with that hash; [equal_state]
+     decides *)
   let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let out = ref [] in
+  let rows = ref [] in
   let count = ref 0 in
+  (* [after_op] grows with [count]; -1 until NEXTOP is applied there *)
+  let after_op = ref (Array.make 1024 (-1)) in
   let visit s =
     let h = sys.hash_state s in
     let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
-    if not (List.exists (sys.equal_state s) bucket) then begin
-      Hashtbl.replace seen h (s :: bucket);
+    match List.find_opt (fun (s', _) -> sys.equal_state s s') bucket with
+    | Some (_, k) -> k
+    | None ->
+      let k = !count in
+      Hashtbl.replace seen h ((s, k) :: bucket);
       incr count;
       if !count > limit then failwith "System.reachable: state limit exceeded";
+      if k = Array.length !after_op then begin
+        let grown = Array.make (2 * k) (-1) in
+        Array.blit !after_op 0 grown 0 k;
+        after_op := grown
+      end;
       out := s :: !out;
-      Queue.push s queue
-    end
+      Queue.push s queue;
+      k
   in
-  List.iter visit sys.initial;
+  List.iter (fun s -> ignore (visit s)) sys.initial;
+  let inputs = Array.of_list sys.inputs in
   while not (Queue.is_empty queue) do
     let s = Queue.pop queue in
     let explore i =
-      (* Visit the post-INPUT state too: NEXTOP is applied there, so the
-         separability conditions must be checked in it. *)
+      (* The post-INPUT state is visited too: NEXTOP is applied there, so
+         the separability conditions must be checked in it. Equal states
+         are one state, so NEXTOP is applied once per post-INPUT state;
+         on a repeat its successor is already visited. *)
       let mid = sys.input s i in
-      visit mid;
-      visit ((sys.nextop mid).op_apply mid)
+      let m = visit mid in
+      if !after_op.(m) < 0 then begin
+        let next = visit ((sys.nextop mid).op_apply mid) in
+        !after_op.(m) <- next
+      end;
+      m
     in
-    List.iter explore sys.inputs
+    (* [Array.init] applies in index order, which fixes the visit order *)
+    rows := Array.init (Array.length inputs) (fun j -> explore inputs.(j)) :: !rows
   done;
-  List.rev !out
+  {
+    states = Array.of_list (List.rev !out);
+    after_input = Array.of_list (List.rev !rows);
+    after_op = Array.sub !after_op 0 !count;
+  }
+
+let reachable ?limit sys = Array.to_list (explore ?limit sys).states
 
 let trace sys s ins =
   let rec loop s acc_states acc_outs = function

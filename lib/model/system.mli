@@ -23,7 +23,9 @@ type 's op = { op_name : string; op_apply : 's -> 's }
 
 type 'a abop = { abop_name : string; abop_apply : 'a -> 'a }
 (** A named abstract operation of one regime's private ("abstract")
-    machine. *)
+    machine. [abop_apply] must not mutate its argument: the checker
+    computes each [Phi^c] value once and may pass the same value to
+    several checks. *)
 
 type ('s, 'i, 'o, 'a, 'p) t = {
   name : string;  (** instance name, for reports *)
@@ -63,13 +65,33 @@ val step : ('s, 'i, 'o, 'a, 'p) t -> 's -> 'i -> 's
 (** One time step: consume the input, then select and execute an
     operation — [NEXTOP(INPUT(s,i)) (INPUT(s,i))]. *)
 
+type 's graph = {
+  states : 's array;  (** the reachable states, in breadth-first order *)
+  after_input : int array array;
+      (** [after_input.(k).(j)]: the index of [INPUT(states.(k), i)] for
+          the [j]-th input [i] of [inputs] *)
+  after_op : int array;
+      (** [after_op.(m)]: the index of [NEXTOP(s)(s)] for the post-[INPUT]
+          state [s = states.(m)], or [-1] if [states.(m)] is never a
+          post-[INPUT] state *)
+}
+(** The reachable states as an indexed graph. Indices name
+    [equal_state]-classes: [states.(k)] is the first state of its class
+    that the search visited. *)
+
+val explore : ?limit:int -> ('s, 'i, 'o, 'a, 'p) t -> 's graph
+(** Breadth-first search from the initial states under {!step} with every
+    input, including intermediate post-[INPUT] states (operations are
+    selected in those, so the six conditions must hold there too).
+    [equal_state] states are one state, so [NEXTOP] is applied once per
+    post-[INPUT] class, to the first member the search meets: a later
+    member's successor is the same class, already visited. Raises
+    [Failure "System.reachable: state limit exceeded"] if more than
+    [limit] (default 200_000) distinct states are found, to keep
+    exhaustive checks honest about their feasibility. *)
+
 val reachable : ?limit:int -> ('s, 'i, 'o, 'a, 'p) t -> 's list
-(** Breadth-first enumeration of the states reachable from the initial
-    states under {!step} with every input, including intermediate
-    post-[INPUT] states (operations are selected in those, so the six
-    conditions must hold there too). Raises [Failure] if more than [limit]
-    (default 200_000) distinct states are found, to keep exhaustive checks
-    honest about their feasibility. *)
+(** The states of {!explore}, in the same order. *)
 
 val trace : ('s, 'i, 'o, 'a, 'p) t -> 's -> 'i list -> 's list * 'o list
 (** [trace sys s ins] runs the system from [s] over the input word [ins];

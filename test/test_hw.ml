@@ -4,6 +4,7 @@
 module Word = Sep_hw.Word
 module Isa = Sep_hw.Isa
 module Machine = Sep_hw.Machine
+module Prng = Sep_util.Prng
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -272,6 +273,189 @@ let test_machine_hash_sees_whole_state () =
         (Machine.store_user m (Machine.frame_base + 9) 1));
   differs "one device's irq" (fun m -> Machine.raise_irq m 2)
 
+(* Every word of state, flipped alone: each memory, register, trap-frame
+   and MMU-shadow word, each device slot, the MMU base and limit, both
+   flags, the mode, and each device's data, status and IRQ line. [equal]
+   must see each flip and the hash must move. *)
+let test_machine_equal_sees_every_flip () =
+  let frame_words = Isa.num_regs + 2 (* registers, flags word, cause *) in
+  let m0 = Machine.create ~mem_words:64 ~devices:[ Machine.Rx; Machine.Tx; Machine.Xform (Machine.Add_key 3) ] in
+  (* mode alone: a zeroed machine entering the kernel at pc 0 changes
+     nothing else *)
+  let k0 = Machine.copy m0 in
+  Machine.enter_kernel k0 ~cause:0 ~vector:0;
+  Alcotest.(check bool) "mode: not equal" false (Machine.equal m0 k0);
+  Alcotest.(check bool) "mode: hashes apart" true (Machine.hash m0 <> Machine.hash k0);
+  (* a base with every word set, in kernel mode so that the frame and the
+     MMU shadow are writable *)
+  let mem = Machine.mem_size m0 in
+  let base = Machine.copy m0 in
+  for a = 0 to mem - 1 do
+    Machine.write_phys base a ((a * 37) + 5)
+  done;
+  for r = 0 to Isa.num_regs - 1 do
+    Machine.set_reg base r (100 + r)
+  done;
+  Machine.set_flags base (true, false);
+  Machine.enter_kernel base ~cause:Machine.cause_send ~vector:40;
+  let frame = Array.init frame_words (fun i -> 200 + i) in
+  Array.iteri (fun i w -> ignore (Machine.store_user base (Machine.frame_base + i) w)) frame;
+  let shadow = [| 8; 32; 3; 2; 0; 1; 7; 7; 7; 7; 7 |] in
+  Array.iteri (fun i w -> ignore (Machine.store_user base (Machine.mmu_base + i) w)) shadow;
+  let mmu_base = 8 and mmu_limit = 32 and slots = [| 2; 0; 1 |] in
+  let restore_mmu m = Machine.set_mmu m ~base:mmu_base ~limit:mmu_limit ~dev_slots:slots in
+  restore_mmu base;
+  for d = 0 to Machine.num_devices base - 1 do
+    Machine.set_device_regs base d ~data:(300 + d) ~status:1
+  done;
+  Machine.raise_irq base 1;
+  let flips = ref 0 in
+  let flip what mutate =
+    let m = Machine.copy base in
+    mutate m;
+    incr flips;
+    if Machine.equal base m then Alcotest.failf "%s: equal misses the flip" what;
+    if Machine.equal m base then Alcotest.failf "%s: equal misses the flip (swapped)" what;
+    if Machine.hash base = Machine.hash m then Alcotest.failf "%s: hash misses the flip" what
+  in
+  for a = 0 to mem - 1 do
+    flip (Fmt.str "memory word %d" a) (fun m -> Machine.write_phys m a (Machine.read_phys m a lxor 1))
+  done;
+  for r = 0 to Isa.num_regs - 1 do
+    flip (Fmt.str "register %d" r) (fun m -> Machine.set_reg m r (Machine.get_reg m r lxor 1))
+  done;
+  flip "flag z" (fun m -> Machine.set_flags m (false, false));
+  flip "flag n" (fun m -> Machine.set_flags m (true, true));
+  Array.iteri
+    (fun i w ->
+      flip (Fmt.str "frame word %d" i) (fun m ->
+          ignore (Machine.store_user m (Machine.frame_base + i) (w lxor 1))))
+    frame;
+  Array.iteri
+    (fun i w ->
+      flip (Fmt.str "MMU shadow word %d" i) (fun m ->
+          ignore (Machine.store_user m (Machine.mmu_base + i) (w lxor 1));
+          restore_mmu m))
+    shadow;
+  flip "MMU base" (fun m -> Machine.set_mmu m ~base:(mmu_base + 1) ~limit:mmu_limit ~dev_slots:slots);
+  flip "MMU limit" (fun m -> Machine.set_mmu m ~base:mmu_base ~limit:(mmu_limit + 1) ~dev_slots:slots);
+  Array.iteri
+    (fun k d ->
+      flip (Fmt.str "device slot %d" k) (fun m ->
+          let slots' = Array.copy slots in
+          slots'.(k) <- (d + 1) mod 3;
+          Machine.set_mmu m ~base:mmu_base ~limit:mmu_limit ~dev_slots:slots'))
+    slots;
+  flip "slot count" (fun m -> Machine.set_mmu m ~base:mmu_base ~limit:mmu_limit ~dev_slots:[| 2; 0 |]);
+  for d = 0 to Machine.num_devices base - 1 do
+    let data, status = Machine.device_regs base d in
+    flip (Fmt.str "device %d data" d) (fun m -> Machine.set_device_regs m d ~data:(data lxor 1) ~status);
+    flip (Fmt.str "device %d status" d) (fun m -> Machine.set_device_regs m d ~data ~status:(status lxor 1));
+    flip (Fmt.str "device %d irq" d) (fun m ->
+        if Machine.irq_pending m d then Machine.field_irq m d else Machine.raise_irq m d)
+  done;
+  Alcotest.(check int) "every word flipped"
+    (mem + Isa.num_regs + 2 + frame_words + Array.length shadow + 2 + Array.length slots + 1 + 9)
+    !flips;
+  (* device kinds are configuration: [equal] still tells them apart *)
+  let kinds = Machine.[ Rx; Tx; Xform Identity; Xform (Xor_key 1); Xform (Xor_key 2); Xform (Add_key 1) ] in
+  List.iteri
+    (fun i k ->
+      List.iteri
+        (fun j k' ->
+          let a = Machine.create ~mem_words:4 ~devices:[ k ] and b = Machine.create ~mem_words:4 ~devices:[ k' ] in
+          Alcotest.(check bool) (Fmt.str "kinds %d and %d" i j) (i = j) (Machine.equal a b))
+        kinds)
+    kinds
+
+(* The reference [Machine.equal] is held to: polymorphic structural
+   equality of every field of the machine record but the two that are
+   bookkeeping, the instruction counter and the device-touch record — the
+   definition before [equal] compared words. The record is abstract here,
+   so its fields are read by position; the guard fails first if the
+   record changes shape. *)
+let reference_equal (a : Machine.t) (b : Machine.t) =
+  let fields m =
+    let r = Obj.repr m in
+    if Obj.size r <> 11 || (Obj.obj (Obj.field r 6) : int) <> Machine.instruction_count m then
+      Alcotest.fail "the machine record changed shape: update the reference";
+    List.filter_map (fun i -> if i = 6 || i = 10 then None else Some (Obj.field r i)) (List.init 11 Fun.id)
+  in
+  List.for_all2 (fun x y -> x = y) (fields a) (fields b)
+
+(* Reachable kernel states, and for state [k] the states the checker
+   derives from it — its post-INPUT states and their NEXTOP successors —
+   each paired with the reachable state of its class, which the search
+   may have reached by another path. *)
+let reachable_machines =
+  lazy
+    (let module Sue = Sep_core.Sue in
+     let module Scenarios = Sep_core.Scenarios in
+     let module System = Sep_model.System in
+     let inst = Scenarios.pipeline in
+     let sys = Sue.to_system ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
+     let g = System.explore sys in
+     let machine k = Sue.machine g.System.states.(k) in
+     let derived k =
+       List.concat
+         (List.mapi
+            (fun j i ->
+              let mid = sys.System.input g.System.states.(k) i in
+              let m = g.System.after_input.(k).(j) in
+              [
+                (machine m, Sue.machine mid);
+                (machine g.System.after_op.(m), Sue.machine ((sys.System.nextop mid).System.op_apply mid));
+              ])
+            sys.System.inputs)
+     in
+     (Array.init (Array.length g.System.states) machine, derived))
+
+(* One pair: two reachable states, a derived state and the reachable state
+   of its class, or a state and a copy with one field mutated, possibly
+   to its old value. *)
+let machine_pair seed =
+  let states, derived = Lazy.force reachable_machines in
+  let rng = Prng.create seed in
+  let any () = Prng.choose rng states in
+  let word old = Prng.choose rng [| old; old lxor (1 lsl Prng.int rng 16); Prng.int rng 0x10000 |] in
+  match Prng.int rng 3 with
+  | 0 -> (any (), any ())
+  | 1 -> Prng.choose rng (Array.of_list (derived (Prng.int rng (Array.length states))))
+  | _ ->
+    let a = any () in
+    let m = Machine.copy a in
+    let kernel = Machine.mode m = Machine.Kernel in
+    let mem = Machine.mem_size m and ndevs = Machine.num_devices m in
+    (match Prng.int rng 8 with
+    | 0 ->
+      let x = Prng.int rng mem in
+      Machine.write_phys m x (word (Machine.read_phys m x))
+    | 1 ->
+      let r = Prng.int rng Isa.num_regs in
+      Machine.set_reg m r (word (Machine.get_reg m r))
+    | 2 -> Machine.set_flags m (Prng.bool rng, Prng.bool rng)
+    | 3 ->
+      let base = Prng.int rng mem in
+      Machine.set_mmu m ~base ~limit:(Prng.int rng (mem - base + 1))
+        ~dev_slots:(Array.init (Prng.int rng 4) (fun _ -> Prng.int rng ndevs))
+    | 4 when kernel -> ignore (Machine.store_user m (Machine.frame_base + Prng.int rng (Isa.num_regs + 2)) (word 0))
+    | 5 when kernel -> ignore (Machine.store_user m (Machine.mmu_base + Prng.int rng 11) (Prng.int rng 8))
+    | 4 | 5 -> Machine.enter_kernel m ~cause:(Prng.int rng 7) ~vector:(Prng.int rng mem)
+    | 6 ->
+      let d = Prng.int rng ndevs in
+      let data, status = Machine.device_regs m d in
+      Machine.set_device_regs m d ~data:(word data) ~status:(word status)
+    | _ ->
+      let d = Prng.int rng ndevs in
+      if Prng.bool rng then Machine.raise_irq m d else Machine.field_irq m d);
+    (a, m)
+
+let equal_agrees_with_reference =
+  QCheck.Test.make ~name:"equal agrees with structural equality on reachable states" ~count:2000 QCheck.int
+    (fun seed ->
+      let a, b = machine_pair seed in
+      Bool.equal (Machine.equal a b) (reference_equal a b) && Bool.equal (Machine.equal b a) (reference_equal a b))
+
 let test_machine_instruction_count_not_state () =
   let a = machine_with [ Isa.Instr Isa.Nop; Isa.Instr (Isa.Br (-2)) ] in
   let b = Machine.copy a in
@@ -453,6 +637,8 @@ let () =
           Alcotest.test_case "device violation" `Quick test_machine_device_violation;
           Alcotest.test_case "copy and equality" `Quick test_machine_copy_equal;
           Alcotest.test_case "hash sees the whole state" `Quick test_machine_hash_sees_whole_state;
+          Alcotest.test_case "equal sees every flip" `Quick test_machine_equal_sees_every_flip;
+          qtest equal_agrees_with_reference;
           Alcotest.test_case "instruction count not state" `Quick test_machine_instruction_count_not_state;
           Alcotest.test_case "slot on a machine without devices" `Quick test_machine_no_devices_slot_faults;
         ] );

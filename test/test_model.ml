@@ -57,6 +57,85 @@ let test_reachable_limit () =
   Alcotest.check_raises "limit enforced" (Failure "System.reachable: state limit exceeded")
     (fun () -> ignore (System.reachable ~limit:5 sys))
 
+(* -- The explored graph ------------------------------------------------------ *)
+
+(* [explore] is the reachable relation: each [after_input] entry is the
+   state the input gives, each post-INPUT state's NEXTOP successor is
+   recorded, and [reachable] lists the same states in the same order. *)
+let check_graph label sys =
+  let g = System.explore sys in
+  let n = Array.length g.System.states in
+  let eq = sys.System.equal_state in
+  let is_post = Array.make n false in
+  Array.iteri
+    (fun k row ->
+      List.iteri
+        (fun j i ->
+          let m = row.(j) in
+          is_post.(m) <- true;
+          if not (eq g.System.states.(m) (sys.System.input g.System.states.(k) i)) then
+            Alcotest.failf "%s: after_input.(%d).(%d) is not the input applied" label k j)
+        sys.System.inputs)
+    g.System.after_input;
+  Alcotest.(check int) (label ^ ": a row per state") n (Array.length g.System.after_input);
+  Array.iteri
+    (fun m post ->
+      let next = g.System.after_op.(m) in
+      if post <> (next >= 0) then
+        Alcotest.failf "%s: state %d is %sa post-INPUT state but after_op is %d" label m
+          (if post then "" else "not ") next;
+      if post then begin
+        let s = g.System.states.(m) in
+        if not (eq g.System.states.(next) ((sys.System.nextop s).System.op_apply s)) then
+          Alcotest.failf "%s: after_op.(%d) is not NEXTOP applied" label m
+      end)
+    is_post;
+  Alcotest.(check bool) (label ^ ": reachable lists the states in order") true
+    (List.equal eq (System.reachable sys) (Array.to_list g.System.states));
+  g
+
+let test_explore_counters () =
+  let g = check_graph "counters" (counter_system 3) in
+  Alcotest.(check (list (pair int int)))
+    "breadth-first order"
+    [ (0, 0); (1, 0); (0, 1); (2, 0); (1, 1); (0, 2); (2, 1); (1, 2); (2, 2) ]
+    (Array.to_list g.System.states)
+
+(* The 4 scenarios on both kernels (the machine-code kernel has no
+   preemption quantum): state count and an MD5 of the [Sue.hash]
+   sequence, which pin the breadth-first order and the representative
+   of every class. *)
+let scenario_orders =
+  [
+    ("microcode pipeline", (9944, "9a6f85626721c3a3bd747cd487334b99"));
+    ("microcode interrupt", (1797, "db350e517976833f09f1634afc46244e"));
+    ("microcode snfe-micro", (1679, "aa564e0a8e82143574faa7b22e22273a"));
+    ("microcode preemptive", (132, "d381bc03f5559f294382b92d8c4c3270"));
+    ("assembly pipeline", (10079, "fc8af1a4b539a08504e8ba1ad11433ff"));
+    ("assembly interrupt", (2031, "56fd9b91c43775e29a9e312188bb400a"));
+    ("assembly snfe-micro", (1508, "b98296a1fadbb53ff89831fc6ada9d36"));
+  ]
+
+let test_explore_scenarios () =
+  let module Sue = Sep_core.Sue in
+  let module Scenarios = Sep_core.Scenarios in
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun (inst : Scenarios.instance) ->
+          let label = Fmt.str "%a %s" Sue.pp_impl impl inst.Scenarios.label in
+          match List.assoc_opt label scenario_orders with
+          | None -> ()
+          | Some (count, digest) ->
+            let sys = Sue.to_system ~impl ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
+            let g = check_graph label sys in
+            let hashes = Array.to_list (Array.map (fun s -> string_of_int (Sue.hash s)) g.System.states) in
+            Alcotest.(check int) (label ^ ": states") count (Array.length g.System.states);
+            Alcotest.(check string) (label ^ ": order") digest
+              (Digest.to_hex (Digest.string (String.concat "," hashes))))
+        Scenarios.all)
+    [ Sue.Microcode; Sue.Assembly ]
+
 let test_step_and_trace () =
   let sys = counter_system 5 in
   let states, outputs = System.trace sys (0, 0) [ Some Colour.red; Some Colour.red; Some Colour.black ] in
@@ -148,6 +227,8 @@ let () =
         [
           Alcotest.test_case "reachable counts" `Quick test_reachable_counts;
           Alcotest.test_case "reachable limit" `Quick test_reachable_limit;
+          Alcotest.test_case "explore counters" `Quick test_explore_counters;
+          Alcotest.test_case "explore scenarios" `Quick test_explore_scenarios;
           Alcotest.test_case "step and trace" `Quick test_step_and_trace;
         ] );
       ( "component",

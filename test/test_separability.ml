@@ -45,15 +45,75 @@ let report_digests =
     ("assembly pipeline input-crosstalk", "f8ffa608fe6eae307e7db95f21e6507c");
   ]
 
-let check_digest ?bug impl (inst : Scenarios.instance) r =
-  let key =
-    Fmt.str "%a %s %s" Sue.pp_impl impl inst.label
-      (match bug with None -> "clean" | Some b -> Fmt.str "%a" Sue.pp_bug b)
-  in
+let report_digest r =
+  Digest.to_hex (Digest.string (Sep_util.Json.to_string (Separability.report_to_json r)))
+
+let config_key ?bug impl (inst : Scenarios.instance) =
+  Fmt.str "%a %s %s" Sue.pp_impl impl inst.label
+    (match bug with None -> "clean" | Some b -> Fmt.str "%a" Sue.pp_bug b)
+
+(* The sampled path over the whole reachable set must give the exhaustive
+   report: [check_states] and [check] share one condition core, which
+   sees a sample and an explored graph alike. *)
+let check_sampled_agrees ?bug ?max_failures impl (inst : Scenarios.instance) r =
+  let bugs = Option.to_list bug in
+  let sys = Sue.to_system ~bugs ~impl ~inputs:inst.alphabet inst.cfg in
+  let sampled = Separability.check_states ?max_failures sys (Sep_model.System.reachable sys) in
   Alcotest.(check string)
-    (key ^ " report digest")
-    (List.assoc key report_digests)
-    (Digest.to_hex (Digest.string (Sep_util.Json.to_string (Separability.report_to_json r))))
+    (config_key ?bug impl inst ^ ": check_states over the reachable set")
+    (report_digest r) (report_digest sampled)
+
+let check_digest ?bug ?max_failures impl (inst : Scenarios.instance) r =
+  let key = config_key ?bug impl inst in
+  Alcotest.(check string) (key ^ " report digest") (List.assoc key report_digests) (report_digest r);
+  check_sampled_agrees ?bug ?max_failures impl inst r
+
+(* The same digests for the checker's other entry points: the randomized
+   check (seed 99, default parameters) of three scenarios, clean and with
+   each catalogue bug on its scenario, under both kernels; the sampled
+   and pairwise reports of the ablation's sample; and exhaustive checks
+   outside the catalogue. *)
+let entry_digests =
+  [
+    ("randomized microcode pipeline forget-register-save", "f66db19c9dc1c7be01649d1ad5f31c3c");
+    ("randomized microcode pipeline partition-hole", "507ddfd7c13f88a18f42cd79dc1da943");
+    ("randomized microcode interrupt misroute-interrupt", "a21ffedc1c4780ec7f95557e4f17f146");
+    ("randomized microcode interrupt misroute-device-input", "2bdaedf919f0c2f8eab39c12c2d127b5");
+    ("randomized microcode pipeline output-leak", "78640c88ad351e70215e67ad87dab4bf");
+    ("randomized microcode pipeline schedule-on-foreign-state", "5fe4e2fffd6ec3686100d6d12e5f0a2d");
+    ("randomized microcode pipeline uncut-channel", "c7c90a0fac0d4e27666ec0f36e62f522");
+    ("randomized microcode pipeline input-crosstalk", "4055b1f2eb17f3529a7be864d600115a");
+    ("randomized microcode interrupt clean", "2c61ccbeeb67170811931f45de1a8582");
+    ("randomized microcode snfe-micro clean", "6b8033936208bbea093fad6c56fe3bd7");
+    ("randomized microcode pipeline clean", "10929fb6bdd77631b74a6345a34514da");
+    ("randomized assembly pipeline clean", "10929fb6bdd77631b74a6345a34514da");
+    ("randomized assembly interrupt clean", "2c61ccbeeb67170811931f45de1a8582");
+    ("randomized assembly snfe-micro clean", "6b8033936208bbea093fad6c56fe3bd7");
+    ("randomized assembly pipeline forget-register-save", "73ac59819b27f52ea4e8b30261b01919");
+    ("randomized assembly pipeline partition-hole", "4ace68fdb385aee4ed21910ab67913ee");
+    ("randomized assembly interrupt misroute-interrupt", "20a2659851984b340ca7d77077320184");
+    ("randomized assembly interrupt misroute-device-input", "5e015370e7726da7239e9b075ebfb0ab");
+    ("randomized assembly pipeline output-leak", "f98cf36535450d066633b78cad8fffd3");
+    ("randomized assembly pipeline schedule-on-foreign-state", "180d8048d3faa7520eddae62e1a72203");
+    ("randomized assembly pipeline uncut-channel", "89a933cf61886258d9b1dafecaf9828c");
+    ("randomized assembly pipeline input-crosstalk", "3a047c74bf43862fb65c7e3c651efc33");
+    ("sampled pipeline clean", "37fb6844fbe247af5da9afaa90cc3aa0");
+    ("pairwise pipeline clean", "f0e1ce570641c4c3891b981f6c22d06b");
+    ("sampled pipeline output-leak", "6de9fefebfc5fcf268373f62d060e823");
+    ("pairwise pipeline output-leak", "12e532f7026708d5a53f5e8264fb4d26");
+    ("sampled pipeline input-crosstalk", "1211dbb14ead9598a58369cd6cbd4bb6");
+    ("pairwise pipeline input-crosstalk", "ce4aca6d74de3e3e6d710dcc623810d2");
+    ("exhaustive microcode pipeline uncut strict", "fcde1005b451c029aa25974e4303e00d");
+    ("exhaustive microcode pipeline uncut sanctioned", "f294badc065f69061acf071699efc067");
+    ("exhaustive microcode preemptive", "a80a71be399360c5027798c2b8dc382e");
+    ("exhaustive microcode scaled-2x4b", "8547440b2a3852a90889b1e75e942bff");
+    ("exhaustive microcode scaled-3x3b", "d457a5d2ffdf2f671f44580d1d44059c");
+  ]
+
+let check_entry key r =
+  Alcotest.(check string) (key ^ " report digest") (List.assoc key entry_digests) (report_digest r)
+
+let randomized_key ?bug impl inst = "randomized " ^ config_key ?bug impl inst
 
 (* E1: the six conditions hold exhaustively for the correct kernel. *)
 let test_correct_kernel_verifies (inst : Scenarios.instance) () =
@@ -79,6 +139,7 @@ let test_uncut_fails () =
   let inst = Scenarios.pipeline in
   let sys = Sue.to_system ~inputs:inst.alphabet (Config.cut_none inst.cfg) in
   let r = Separability.check sys in
+  check_entry "exhaustive microcode pipeline uncut strict" r;
   Alcotest.(check bool) "uncut system rejected" false (Separability.verified r);
   let conds = Separability.failing_conditions r in
   Alcotest.(check bool) "the shared buffer shows up as interference" true (List.mem 2 conds)
@@ -92,6 +153,7 @@ let test_sanctioned_uncut_verifies () =
     Sue.to_system ~sanction_channels:true ~inputs:inst.alphabet (Config.cut_none inst.cfg)
   in
   let r = Separability.check sys in
+  check_entry "exhaustive microcode pipeline uncut sanctioned" r;
   Alcotest.(check bool)
     (Fmt.str "sanctioned uncut pipeline verified (%d states)" r.Separability.states)
     true (Separability.verified r)
@@ -203,6 +265,7 @@ let test_state_limit () =
 let test_randomized_correct () =
   let inst = Scenarios.pipeline in
   let r = Randomized.check ~seed:99 ~inputs:inst.alphabet inst.cfg in
+  check_entry (randomized_key Sue.Microcode inst) r;
   Alcotest.(check bool) "randomized verifies correct kernel" true (Separability.verified r)
 
 let test_randomized_mutants () =
@@ -212,10 +275,22 @@ let test_randomized_mutants () =
         Randomized.check ~bugs:[ e.bug ] ~seed:99 ~inputs:e.scenario.Scenarios.alphabet
           e.scenario.Scenarios.cfg
       in
+      check_entry (randomized_key ~bug:e.bug Sue.Microcode e.scenario) r;
       Alcotest.(check bool)
         (Fmt.str "randomized catches %a" Sue.pp_bug e.bug)
         true (Mutants.detected e r))
     Mutants.catalogue
+
+(* The randomized reports the two tests above do not pin: the other clean
+   scenarios, and every configuration on the machine-code kernel. *)
+let test_randomized_digests () =
+  let randomized ?bug impl (inst : Scenarios.instance) =
+    let r = Randomized.check ~bugs:(Option.to_list bug) ~impl ~seed:99 ~inputs:inst.alphabet inst.cfg in
+    check_entry (randomized_key ?bug impl inst) r
+  in
+  List.iter (randomized Sue.Microcode) [ Scenarios.interrupt; Scenarios.snfe_micro ];
+  List.iter (randomized Sue.Assembly) [ Scenarios.pipeline; Scenarios.interrupt; Scenarios.snfe_micro ];
+  List.iter (fun (e : Mutants.expectation) -> randomized ~bug:e.bug Sue.Assembly e.scenario) Mutants.catalogue
 
 let test_pairwise_agrees_with_bucketed () =
   let inst = Scenarios.pipeline in
@@ -225,6 +300,9 @@ let test_pairwise_agrees_with_bucketed () =
     let sys = Sue.to_system ~bugs ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
     let fast = Separability.check_states sys states in
     let slow = Separability.check_states_pairwise sys states in
+    let bug = match bugs with [] -> "clean" | b :: _ -> Fmt.str "%a" Sue.pp_bug b in
+    check_entry ("sampled pipeline " ^ bug) fast;
+    check_entry ("pairwise pipeline " ^ bug) slow;
     Alcotest.(check bool)
       (Fmt.str "verdicts agree (%d bugs)" (List.length bugs))
       (Separability.verified fast) (Separability.verified slow);
@@ -241,6 +319,16 @@ let test_randomized_scaling_instance () =
   let inst = Scenarios.scaled ~regimes:3 ~counter_bits:2 in
   let r = Randomized.check ~seed:3 ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
   Alcotest.(check bool) "scaled instance verified" true (Separability.verified r)
+
+(* Exhaustive reports outside the catalogue: preemption, and two scaled
+   instances with three regimes or a longer counter. *)
+let test_exhaustive_digests () =
+  let exhaustive_key label (inst : Scenarios.instance) =
+    check_entry ("exhaustive microcode " ^ label) (exhaustive inst)
+  in
+  exhaustive_key "preemptive" Scenarios.preemptive;
+  exhaustive_key "scaled-2x4b" (Scenarios.scaled ~regimes:2 ~counter_bits:4);
+  exhaustive_key "scaled-3x3b" (Scenarios.scaled ~regimes:3 ~counter_bits:3)
 
 let test_scaled_exhaustive () =
   let inst = Scenarios.scaled ~regimes:2 ~counter_bits:2 in
@@ -289,7 +377,7 @@ let test_assembly_mutants_caught () =
           (Sue.to_system ~impl:Sue.Assembly ~bugs:[ e.bug ]
              ~inputs:e.scenario.Scenarios.alphabet e.scenario.Scenarios.cfg)
       in
-      check_digest ~bug:e.bug Sue.Assembly e.scenario r;
+      check_digest ~bug:e.bug ~max_failures:3 Sue.Assembly e.scenario r;
       Alcotest.(check bool)
         (Fmt.str "assembly kernel: %a -> condition %d" Sue.pp_bug e.bug e.primary)
         true (Mutants.detected e r))
@@ -510,6 +598,7 @@ let () =
           Alcotest.test_case "snfe-micro" `Quick (test_correct_kernel_verifies Scenarios.snfe_micro);
           Alcotest.test_case "scaled" `Quick test_scaled_exhaustive;
           Alcotest.test_case "report counts" `Quick test_report_counts;
+          Alcotest.test_case "more exhaustive digests" `Quick test_exhaustive_digests;
         ] );
       ("mutants (E4)", mutant_cases);
       ( "wire-cutting (E5)",
@@ -564,6 +653,7 @@ let () =
         [
           Alcotest.test_case "correct kernel" `Quick test_randomized_correct;
           Alcotest.test_case "all mutants" `Slow test_randomized_mutants;
+          Alcotest.test_case "report digests" `Slow test_randomized_digests;
           Alcotest.test_case "pairwise ablation agrees" `Quick test_pairwise_agrees_with_bucketed;
           Alcotest.test_case "scaled instance" `Quick test_randomized_scaling_instance;
         ] );
