@@ -18,9 +18,16 @@
 # byte-identical to -j 1, and so must the sampled checker's
 # verify-random verdicts on three scenarios and its failing report on a
 # seeded output leak, which must exit 1), a replay
-# of every checked-in regression corpus case, and the example programs.
-# The performance gate is the repository benchmark (BENCHMARK.json), run
-# parent-vs-change on one machine, not a step here.
+# of every checked-in regression corpus case, the example programs, and
+# the repository benchmark's own command (BENCHMARK.json), untraced and
+# traced, with a one-second budget: one full-length round of every
+# workload, each checked by its oracles (the 1M-step kernel runs against
+# their seed-42 pins, the 10,000-step service runs, the chaos campaigns),
+# so a change that breaks a full-length oracle, or the benchmark's build,
+# fails here and not only in the 1/20-length smoke that dune runtest
+# runs. This is a correctness gate: the timings it prints are not
+# compared. Throughput is compared parent-vs-change on one machine, by
+# running the benchmark on both.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -96,3 +103,8 @@ done
 for ex in quickstart snfe_demo guard_demo mls_demo machine_snfe; do
   dune exec "examples/$ex.exe" > /dev/null
 done
+
+# The benchmark exits non-zero on a build failure, a raised run or an
+# oracle mismatch.
+bash benchmark/run.sh --seconds 1 > /dev/null
+bash benchmark/run.sh --seconds 1 --traced > /dev/null

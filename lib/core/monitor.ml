@@ -219,8 +219,13 @@ type swatch = {
   w_first : unit -> (int * Separability.failure) option;
 }
 
+(* A deep check runs INPUT and the next operation on copies of the
+   watched kernel. They are detached: a checkpoint, an audit record or a
+   count that a hypothetical state makes stays off the live kernel, whose
+   audit count triggers the checks themselves. *)
 let watch ?(period = 500) ?max_failures ?(sanction_channels = false) ~inputs kernel =
-  let sys = Sue.system_of_kernel ~sanction_channels ~inputs (Sue.copy kernel) in
+  let snapshot = Sue.detached_copies kernel in
+  let sys = Sue.system_of_kernel ~sanction_channels ~inputs (snapshot ()) in
   let mon = create ?max_failures sys in
   let w =
     {
@@ -229,7 +234,7 @@ let watch ?(period = 500) ?max_failures ?(sanction_channels = false) ~inputs ker
       w_steps = 0;
       w_deep = 0;
       w_last_audit = Sue.audit_count kernel;
-      w_feed = (fun step -> ignore (feed ~step mon (Sue.copy kernel)));
+      w_feed = (fun step -> ignore (feed ~step mon (snapshot ())));
       w_report = (fun () -> report mon);
       w_first = (fun () -> first_violation mon);
     }

@@ -74,7 +74,10 @@ val watch :
     {!observe} after every {!Sue.step}. A deep check — snapshotting the
     kernel and feeding it to the incremental checker — runs whenever
     {!Sue.audit_count} moved since the last observation, and otherwise
-    every [period] steps (default 500). [inputs] is the scenario's
+    every [period] steps (default 500). The snapshots come from
+    {!Sue.detached_copies}, so the hypothetical INPUT and operation a
+    deep check runs leave the kernel's counters, audit log and
+    checkpoints as they were. [inputs] is the scenario's
     input alphabet, needed for conditions 3 and 4. [sanction_channels]
     (default [false]) is passed to {!Sue.system_of_kernel}, which
     packages the watched kernel's own configuration without building a

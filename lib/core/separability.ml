@@ -67,57 +67,116 @@ let span_cond12 = Sep_obs.Span.make "separability.cond1_2"
 let span_cond3456 = Sep_obs.Span.make "separability.cond3_4_5_6"
 let span_cond4 = Sep_obs.Span.make "separability.cond4"
 
+(* Abstract states numbered densely from 0 up to [equal_abstate]. Each
+   value is hashed once, and [equal_abstate] runs only against the values
+   already numbered under the same hash. [values.(id)] is the first value
+   numbered [id]. *)
+type 'a intern = {
+  by_hash : (int, int list) Hashtbl.t;
+  mutable values : 'a array;
+  mutable count : int;
+}
+
+let intern_create () = { by_hash = Hashtbl.create 64; values = [||]; count = 0 }
+
+let intern sys it a =
+  let h = sys.System.hash_abstate a in
+  let ids = Option.value ~default:[] (Hashtbl.find_opt it.by_hash h) in
+  let rec find = function
+    | [] -> -1
+    | id :: rest -> if sys.System.equal_abstate a it.values.(id) then id else find rest
+  in
+  let id = find ids in
+  if id >= 0 then id
+  else begin
+    let id = it.count in
+    if id = Array.length it.values then begin
+      let grown = Array.make (max 16 (2 * id)) a in
+      Array.blit it.values 0 grown 0 id;
+      it.values <- grown
+    end;
+    it.values.(id) <- a;
+    it.count <- id + 1;
+    Hashtbl.replace it.by_hash h (id :: ids);
+    id
+  end
+
 (* The states under check, indexed. [succ.(k)] is the index of NEXTOP
-   applied to state [k], or -1 when the table does not hold it; [view ci
-   k] is Phi of the [ci]-th colour at state [k], and [images ci k] the
-   same after each input in state [k]. *)
-type ('s, 'a) table = {
+   applied to state [k], or -1 when the table does not hold it.
+
+   The checks read Phi through views of type ['v]: [view ci k] is the
+   view of the [ci]-th colour at state [k], [view_of ci s] the same for a
+   state outside the table, [images ci k] the views after each input in
+   state [k]. [same] decides [equal_abstate] on two views of one colour,
+   and [value ci v] is the Phi value a view stands for, which failure
+   text and [sanctioned_interference] read. [numbering ci], made once
+   per colour's pass, numbers that colour's views by class, densely from
+   0: conditions 3, 5 and 6 bucket by it. *)
+type ('s, 'a, 'v) table = {
   states : 's array;
   succ : int array;
   colours : Colour.t array;
-  view : int -> int -> 'a;
-  images : int -> int -> 'a array;
+  view : int -> int -> 'v;
+  view_of : int -> 's -> 'v;
+  images : int -> int -> 'v array;
+  same : 'v -> 'v -> bool;
+  value : int -> 'v -> 'a;
+  numbering : int -> 'v -> int;
 }
 
 (* The explored graph: a state's post-INPUT states and op successor are
-   states of the graph, so every view is a lookup. Each Phi value is
-   computed once, however many checks read it. *)
-let table_of_graph sys (g : _ System.graph) =
+   states of the graph, so every view is a lookup. A view is an id: each
+   colour interns every Phi value it computes, once per state, so ids are
+   equal iff the values are [equal_abstate], and the checks compare ints.
+   The interned value stands in for every value of its class. *)
+let graph_views sys (g : _ System.graph) =
   let colours = Array.of_list sys.System.colours in
-  let cache = Array.map (fun _ -> Array.make (Array.length g.System.states) None) colours in
+  let ids = Array.map (fun _ -> Array.make (Array.length g.System.states) (-1)) colours in
+  let interns = Array.map (fun _ -> intern_create ()) colours in
+  let view_of ci s = intern sys interns.(ci) (sys.System.abstract colours.(ci) s) in
   let view ci k =
-    match cache.(ci).(k) with
-    | Some a -> a
-    | None ->
-      let a = sys.System.abstract colours.(ci) g.System.states.(k) in
-      cache.(ci).(k) <- Some a;
-      a
+    let id = ids.(ci).(k) in
+    if id >= 0 then id
+    else begin
+      let id = view_of ci g.System.states.(k) in
+      ids.(ci).(k) <- id;
+      id
+    end
   in
-  {
-    states = g.System.states;
-    succ = g.System.after_op;
-    colours;
-    view;
-    images = (fun ci k -> Array.map (view ci) g.System.after_input.(k));
-  }
+  let table =
+    {
+      states = g.System.states;
+      succ = g.System.after_op;
+      colours;
+      view;
+      view_of;
+      images = (fun ci k -> Array.map (view ci) g.System.after_input.(k));
+      same = Int.equal;
+      value = (fun ci id -> interns.(ci).values.(id));
+      numbering = (fun _ id -> id);
+    }
+  in
+  (table, ids, interns)
 
 (* A sample keeps nothing it derives: each colour's pass derives the
    post-INPUT states again, and Phi is computed where it is read. Kept,
    they would live across the whole check, and promoting them costs the
-   collector more than computing them again. *)
+   collector more than computing them again. Views are the values. *)
 let table_of_states sys states =
   let states = Array.of_list states in
   let colours = Array.of_list sys.System.colours in
   let inputs = Array.of_list sys.System.inputs in
-  let view ci k = sys.System.abstract colours.(ci) states.(k) in
+  let view_of ci s = sys.System.abstract colours.(ci) s in
   {
     states;
     succ = Array.make (Array.length states) (-1);
     colours;
-    view;
-    images =
-      (fun ci k ->
-        Array.map (fun i -> sys.System.abstract colours.(ci) (sys.System.input states.(k) i)) inputs);
+    view = (fun ci k -> view_of ci states.(k));
+    view_of;
+    images = (fun ci k -> Array.map (fun i -> view_of ci (sys.System.input states.(k) i)) inputs);
+    same = sys.System.equal_abstate;
+    value = (fun _ a -> a);
+    numbering = (fun _ -> intern sys (intern_create ()));
   }
 
 (* The index of [c] among the system's colours. *)
@@ -131,7 +190,8 @@ let colour_index t c =
 
 (* Conditions 1 and 2 examine each state's actually-selected operation.
    The views after it are lookups where the table holds the successor;
-   otherwise the operation runs here. *)
+   otherwise the operation runs here. Condition 1 compares values: the
+   specification's is fresh. *)
 let check_ops sys acc t =
   for k = 0 to Array.length t.states - 1 do
     let s = t.states.(k) in
@@ -143,13 +203,13 @@ let check_ops sys acc t =
       if succ >= 0 then fun ci' -> t.view ci' succ
       else begin
         let s' = op.System.op_apply s in
-        fun ci' -> sys.System.abstract t.colours.(ci') s'
+        fun ci' -> t.view_of ci' s'
       end
     in
     tick acc 1;
-    let concrete = after ci in
+    let concrete = t.value ci (after ci) in
     let abstract_op = sys.System.abop c op in
-    let spec = abstract_op.System.abop_apply (t.view ci k) in
+    let spec = abstract_op.System.abop_apply (t.value ci (t.view ci k)) in
     if not (sys.System.equal_abstate concrete spec) then
       record acc 1 c
         (Fmt.str "op %s from state@ %a@ yields@ %a@ but the abstract machine specifies@ %a"
@@ -160,14 +220,14 @@ let check_ops sys acc t =
         if not (Colour.equal c' c) then begin
           tick acc 2;
           let before = t.view ci' k and after = after ci' in
-          if
-            (not (sys.System.equal_abstate before after))
-            && not (sys.System.sanctioned_interference c c' before after)
-          then
-            record acc 2 c'
-              (Fmt.str "op %s (on behalf of %a) changes %a's view from@ %a@ to@ %a"
-                 op.System.op_name Colour.pp c Colour.pp c' sys.System.pp_abstate before
-                 sys.System.pp_abstate after)
+          if not (t.same before after) then begin
+            let before = t.value ci' before and after = t.value ci' after in
+            if not (sys.System.sanctioned_interference c c' before after) then
+              record acc 2 c'
+                (Fmt.str "op %s (on behalf of %a) changes %a's view from@ %a@ to@ %a"
+                   op.System.op_name Colour.pp c Colour.pp c' sys.System.pp_abstate before
+                   sys.System.pp_abstate after)
+          end
         end)
       t.colours
   done
@@ -185,15 +245,15 @@ let cond4_partners sys c inputs =
         -1
       | Some (_, r) -> r)
 
-(* Within a group of equal c-projection, the post-INPUT abstractions
-   [imgs] of state [s] must agree (condition 4). *)
-let check_cond4 sys acc inputs partners c s imgs =
+(* Within a group of equal c-projection, the post-INPUT views [imgs] of
+   state [s] must agree (condition 4). *)
+let check_cond4 sys acc t inputs partners c s imgs =
   Sep_obs.Span.time span_cond4 @@ fun () ->
   Array.iteri
     (fun j r ->
       if r >= 0 then begin
         tick acc 4;
-        if not (sys.System.equal_abstate imgs.(j) imgs.(r)) then
+        if not (t.same imgs.(j) imgs.(r)) then
           record acc 4 c
             (Fmt.str "inputs %a and %a have equal %a-components but give %a different views in state@ %a"
                sys.System.pp_input inputs.(j) sys.System.pp_input inputs.(r) Colour.pp c Colour.pp c
@@ -201,39 +261,39 @@ let check_cond4 sys acc inputs partners c s imgs =
       end)
     partners
 
-(* Conditions 3, 5, 6 compare states with equal Phi^c; we bucket by the
-   abstraction and compare against a per-bucket representative. *)
+(* Conditions 3, 5, 6 compare states with equal Phi^c: each state is
+   compared with the first state of its class, found by the class's
+   number. *)
 let check_views sys acc t =
   let inputs = Array.of_list sys.System.inputs in
   let per_colour ci c =
     let partners = cond4_partners sys c inputs in
-    (* bucket table keyed by abstraction hash *)
-    let tbl = Hashtbl.create 64 in
+    let class_of = t.numbering ci in
+    (* the first state of each class: the state, its post-INPUT views,
+       its c-output and the operation the first c-active member selects *)
+    let reps = ref [||] in
     let examine k s =
-      let a = t.view ci k in
       let imgs = t.images ci k in
-      check_cond4 sys acc inputs partners c s imgs;
+      check_cond4 sys acc t inputs partners c s imgs;
       let out = sys.System.extract_output c (sys.System.output s) in
       let mine = Colour.equal (sys.System.colour_of s) c in
-      let h = sys.System.hash_abstate a in
-      let bucket_list = match Hashtbl.find_opt tbl h with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add tbl h l;
-          l
-      in
-      match List.find_opt (fun (a', _, _, _, _) -> sys.System.equal_abstate a a') !bucket_list with
+      let cls = class_of (t.view ci k) in
+      match if cls < Array.length !reps then !reps.(cls) else None with
       | None ->
         let op6 = ref (if mine then Some (sys.System.nextop s).System.op_name else None) in
         acc.reps <- acc.reps + 1;
-        bucket_list := (a, s, imgs, out, op6) :: !bucket_list
-      | Some (_, rep, rep_imgs, rep_out, rep_op) ->
+        if cls >= Array.length !reps then begin
+          let grown = Array.make (max 16 (2 * cls)) None in
+          Array.blit !reps 0 grown 0 (Array.length !reps);
+          reps := grown
+        end;
+        !reps.(cls) <- Some (s, imgs, out, op6)
+      | Some (rep, rep_imgs, rep_out, rep_op) ->
         (* condition 3: same input, same effect on c's view *)
         Array.iteri
           (fun j img ->
             tick acc 3;
-            if not (sys.System.equal_abstate img rep_imgs.(j)) then
+            if not (t.same img rep_imgs.(j)) then
               record acc 3 c
                 (Fmt.str
                    "states@ %a@ and@ %a@ look alike to %a but input %a changes %a's view differently"
@@ -284,15 +344,15 @@ let check_views_pairwise sys acc t =
     Array.iteri
       (fun x s ->
         let _, imgs, _, _ = info.(x) in
-        check_cond4 sys acc inputs partners c s imgs;
+        check_cond4 sys acc t inputs partners c s imgs;
         for y = x + 1 to Array.length arr - 1 do
           let a1, imgs1, out1, op1 = info.(x) in
           let a2, imgs2, out2, op2 = info.(y) in
-          if sys.System.equal_abstate a1 a2 then begin
+          if t.same a1 a2 then begin
             Array.iteri
               (fun j img1 ->
                 tick acc 3;
-                if not (sys.System.equal_abstate img1 imgs2.(j)) then
+                if not (t.same img1 imgs2.(j)) then
                   record acc 3 c
                     (Fmt.str "states@ %a@ and@ %a@ look alike to %a but an input affects them \
                               differently"
@@ -350,11 +410,16 @@ let run_checks sys t max_failures =
   report_of sys.System.name t acc
 
 let check ?state_limit ?(max_failures = 20) sys =
-  let t =
+  let t, _, _ =
     Sep_obs.Span.time span_reachable (fun () ->
-        table_of_graph sys (System.explore ?limit:state_limit sys))
+        graph_views sys (System.explore ?limit:state_limit sys))
   in
   run_checks sys t max_failures
+
+let interned_views sys g =
+  let t, ids, interns = graph_views sys g in
+  ignore (run_checks sys t max_int);
+  (ids, Array.map (fun it -> Array.sub it.values 0 it.count) interns)
 
 let report_to_json r =
   let module J = Sep_util.Json in

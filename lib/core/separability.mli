@@ -33,9 +33,25 @@
     states and [NEXTOP] successor are states of the graph, and [Phi^c] of
     each state is computed once per colour and shared by every check
     that reads it, so the system's [abop_apply] must not mutate its
-    argument (see {!Sep_model.System.abop}). Reports do not depend on the
-    sharing: checks, their order, and every failure detail are those of
-    a checker that recomputes each value where it is used. *)
+    argument (see {!Sep_model.System.abop}).
+
+    The graph path compares ids, the sample path values. {!check}
+    interns each [Phi^c] value it computes, per colour: the value is
+    hashed once with [hash_abstate], and [equal_abstate] runs only
+    against the values already interned under that hash. Conditions 2, 3
+    and 4 then compare ids, and conditions 3, 5 and 6 find a state's
+    class by its id. Condition 1 compares the interned value with the
+    specification's fresh one. Failure text and [sanctioned_interference]
+    see the interned value, which is [equal_abstate] to the one computed
+    there; the system's [equal_abstate] must therefore be an equivalence
+    that [hash_abstate], [pp_abstate] and [sanctioned_interference]
+    respect (see {!Sep_model.System.t}). {!check_states} and
+    {!check_states_pairwise} compare values and keep nothing they
+    derive.
+
+    Reports do not depend on either: checks, their order, and every
+    failure detail are those of a checker that recomputes each value
+    where it is used and compares values. *)
 
 type failure = {
   condition : int;  (** 1–6 *)
@@ -82,6 +98,17 @@ val check : ?state_limit:int -> ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) Sep_mo
     search, and [NEXTOP] runs again only in states that are never
     post-[INPUT] states. Collects at most [max_failures] (default 20)
     counterexamples. *)
+
+val interned_views :
+  ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> 's Sep_model.System.graph -> int array array * 'a array array
+(** [interned_views sys g] runs {!check}'s examination of the graph [g]
+    with no cap on failures and returns the views it read: [(ids,
+    values)], where [ids.(ci).(k)] is the id of [Phi^c(g.states.(k))] for
+    the [ci]-th colour of [sys], and [values.(ci).(id)] is the value
+    interned under [id]. Each colour numbers its classes densely from 0,
+    in the order it meets them; besides the graph's states, they include
+    the states [NEXTOP] reaches from states that are never post-[INPUT].
+    For tests of the interning. *)
 
 val check_states :
   ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> 's list -> report

@@ -162,7 +162,7 @@ type counts = {
    not part of the machine being verified. *)
 type checkpoint = {
   ck_save : int array;  (* save-area slots 0 .. off_flags *)
-  ck_part : int array;  (* partition contents *)
+  ck_part : Bytes.t;  (* partition contents, as [Machine.read_phys_words] packs them *)
   ck_sum : int;
 }
 
@@ -352,15 +352,25 @@ let flags_of_word w = (w land 1 <> 0, w land 2 <> 0)
 
 (* -- Checkpoints ----------------------------------------------------------- *)
 
+let feed acc w =
+  let rotated = ((acc lsl 1) lor (acc lsr 15)) land 0xffff in
+  rotated lxor (w land 0xffff)
+
 let feed_words acc words =
   let acc = ref acc in
   for i = 0 to Array.length words - 1 do
-    let rotated = ((!acc lsl 1) lor (!acc lsr 15)) land 0xffff in
-    acc := rotated lxor (words.(i) land 0xffff)
+    acc := feed !acc words.(i)
   done;
   !acc
 
-let checkpoint_sum ~save ~part = feed_words (feed_words checksum_salt save) part
+let feed_packed acc b =
+  let acc = ref acc in
+  for i = 0 to (Bytes.length b / 2) - 1 do
+    acc := feed !acc (Bytes.get_uint16_ne b (2 * i))
+  done;
+  !acc
+
+let checkpoint_sum ~save ~part = feed_packed (feed_words checksum_salt save) part
 
 (* Capture regime [r]. [~live] reads the processor registers (the regime is
    current and running); otherwise the save area is the authority. The
@@ -377,7 +387,7 @@ let capture_checkpoint t r ~live =
     end
     else Machine.read_phys_slice t.m t.layout.save_base.(r) (off_flags + 1)
   in
-  let part = Machine.read_phys_slice t.m t.layout.part_base.(r) t.layout.part_size.(r) in
+  let part = Machine.read_phys_words t.m t.layout.part_base.(r) t.layout.part_size.(r) in
   { ck_save = save; ck_part = part; ck_sum = checkpoint_sum ~save ~part }
 
 let take_checkpoint t r ~live =
@@ -656,7 +666,7 @@ let build ?(bugs = []) ?(impl = Microcode) ?watchdog cfg =
         };
       ckstore =
         {
-          ck_init = Array.make nregs { ck_save = [||]; ck_part = [||]; ck_sum = 0 };
+          ck_init = Array.make nregs { ck_save = [||]; ck_part = Bytes.empty; ck_sum = 0 };
           ck_last = Array.make nregs None;
         };
     }
@@ -931,8 +941,7 @@ let best_checkpoint t r =
 let restore_checkpoint t r ck =
   let base = t.layout.save_base.(r) in
   Array.iteri (fun i w -> write_kw t (base + i) w) ck.ck_save;
-  let pb = t.layout.part_base.(r) in
-  Array.iteri (fun i w -> Machine.write_phys t.m (pb + i) w) ck.ck_part;
+  Machine.write_phys_words t.m t.layout.part_base.(r) ck.ck_part;
   set_status t r status_runnable;
   refresh_save_checksum t r
 
@@ -1015,11 +1024,16 @@ let warm_reboot t =
   List.rev !restored
 
 (* Test hook: damage the checkpoint [restart] would use, to exercise the
-   Bad_checkpoint path. *)
+   Bad_checkpoint path. The damaged copy replaces it, so that a checkpoint,
+   once taken, never changes: stores may share them. *)
 let corrupt_checkpoint t c =
   let r = Config.regime_index t.cfg c in
   let ck = best_checkpoint t r in
-  if Array.length ck.ck_save > 0 then ck.ck_save.(0) <- ck.ck_save.(0) lxor 0x40
+  if Array.length ck.ck_save > 0 then begin
+    let save = Array.copy ck.ck_save in
+    save.(0) <- save.(0) lxor 0x40;
+    t.ckstore.ck_last.(r) <- Some { ck with ck_save = save }
+  end
 
 (* -- Channels ------------------------------------------------------------- *)
 
@@ -1683,3 +1697,25 @@ let to_system ?(bugs = []) ?(impl = Microcode) ?(sanction_channels = false) ~inp
 let any_parked t =
   let rec go r = r < t.layout.nregs && (get_status t r = status_parked || go (r + 1)) in
   go 0
+
+(* The counters' arrays and the checkpoint slots are copied once, for all
+   the copies; the audit log is an immutable list, and checkpoints never
+   change once taken, so both are shared until a copy records or takes
+   one of its own. Nothing the kernel does during INPUT or an operation
+   reads a counter or a checkpoint, so sharing one set between the
+   copies changes none of their runs, and a kept copy costs no more than
+   its machine. *)
+let detached_copies t =
+  let c = t.counts in
+  let counts =
+    {
+      c with
+      ct_instrs = Array.copy c.ct_instrs;
+      ct_traps = Array.copy c.ct_traps;
+      ct_swaps = Array.copy c.ct_swaps;
+      ct_sent = Array.copy c.ct_sent;
+      ct_recvd = Array.copy c.ct_recvd;
+    }
+  in
+  let ckstore = { t.ckstore with ck_last = Array.copy t.ckstore.ck_last } in
+  fun () -> { t with m = Machine.copy t.m; counts; ckstore }

@@ -346,6 +346,19 @@ val nextop_name : t -> string
     instruction word>"], ["<colour>:pcfault"] or ["<colour>:stall"]. *)
 
 val copy : t -> t
+(** A copy of the state. It shares the kernel counters, the audit log and
+    the checkpoint store with the original, so the states of one
+    exploration tally into one record. *)
+
+val detached_copies : t -> unit -> t
+(** [detached_copies t] is a maker of copies for hypothetical runs beside
+    the live kernel [t]: each call copies [t]'s state as it is then, like
+    {!copy}, but the copies keep their kernel counters, audit log and
+    checkpoint store apart from [t]'s. They share one set, made from
+    [t]'s own when [detached_copies t] is applied. Nothing a copy or any
+    {!copy} of it does reaches [t]: no count, no audit record, no
+    checkpoint. {!Monitor.watch} runs its deep checks on these. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

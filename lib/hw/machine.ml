@@ -24,15 +24,6 @@ type mode =
   | User
   | Kernel
 
-type device = {
-  kind : device_kind;
-  mutable data : Word.t;
-  mutable status : Word.t;
-  mutable irq : bool;
-}
-
-type mmu_state = { mutable base : int; mutable limit : int; mutable dev_slots : int array }
-
 (* The devices the last [step_user] (or [store_user]) touched: the first
    touch of each device, with its (data, status) before that touch. One
    instruction touches at most two devices, one on the fetch and one on a
@@ -47,17 +38,33 @@ type touches = {
   mutable status1 : int;
 }
 
+(* The machine's state words live in one buffer, 2 bytes a word, at fixed
+   word offsets:
+
+     0                 the eight registers
+     8                 the MMU device slots, [max 8 ndevs] of them; slots
+                       past [nslots] hold 0
+     frame_off         the trap frame (10 words)
+     shadow_off        the MMU shadow registers (11 words)
+     dev_off           (data, status, irq) for each device
+     mem_off           memory
+
+   The scalars the kernel reads on every instruction are record fields:
+   the flags and the mode in [psw], the MMU base, limit and slot count.
+   Device kinds are configuration, shared by every copy. *)
 type t = {
-  mem : int array;
-  regs : int array;
-  mutable flag_z : bool;
-  mutable flag_n : bool;
-  mm : mmu_state;
-  devices : device array;
+  words : Bytes.t;
+  kinds : device_kind array;
+  frame_off : int;
+  shadow_off : int;
+  dev_off : int;
+  mem_off : int;
+  mem_words : int;
+  mutable psw : int;  (* Z in bit 0, N in bit 1, kernel mode in bit 2 *)
+  mutable base : int;
+  mutable limit : int;
+  mutable nslots : int;
   mutable instructions : int;
-  mutable cpu_mode : mode;
-  frame : int array;  (* 8 registers, flags, cause *)
-  mmu_shadow : int array;  (* base, limit, slot count, 8 slots *)
   touched : touches;  (* bookkeeping, like [instructions]: not state *)
 }
 
@@ -75,61 +82,130 @@ let cause_wait = 4
 let cause_fault = 5
 let cause_resched = 6
 
+(* [Isa]'s register count and PC number as literals: the offsets and
+   indices computed from them are then constants, where a value read from
+   another module is a load on every use. *)
+let num_regs = 8
+let pc_reg = 7
+let () = assert (num_regs = Isa.num_regs && pc_reg = Isa.pc_reg)
+let slots_off = num_regs
+let flag_z_bit = 1
+let flag_n_bit = 2
+let kernel_bit = 4
+
+(* Unchecked 16-bit accesses, by word index. Every caller passes an index
+   that is in range by construction: a register number from a decoded
+   instruction, a slot below [nslots], a device id from a slot, or a
+   memory address checked against [mem_words] or the MMU window. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let word b i = get16u b (2 * i)
+let set_word b i w = set16u b (2 * i) w
+
 let no_touches () = { count = 0; dev0 = 0; data0 = 0; status0 = 0; dev1 = 0; data1 = 0; status1 = 0 }
 
 let create ~mem_words ~devices =
   assert (mem_words > 0 && mem_words <= device_space);
-  let make_device kind = { kind; data = 0; status = 0; irq = false } in
+  let kinds = Array.of_list devices in
+  let ndevs = Array.length kinds in
+  let frame_off = slots_off + max 8 ndevs in
+  let shadow_off = frame_off + frame_words in
+  let dev_off = shadow_off + mmu_words in
+  let mem_off = dev_off + (3 * ndevs) in
   {
-    mem = Array.make mem_words 0;
-    regs = Array.make Isa.num_regs 0;
-    flag_z = false;
-    flag_n = false;
-    mm = { base = 0; limit = 0; dev_slots = [||] };
-    devices = Array.of_list (List.map make_device devices);
+    words = Bytes.make (2 * (mem_off + mem_words)) '\000';
+    kinds;
+    frame_off;
+    shadow_off;
+    dev_off;
+    mem_off;
+    mem_words;
+    psw = 0;
+    base = 0;
+    limit = 0;
+    nslots = 0;
     instructions = 0;
-    cpu_mode = User;
-    frame = Array.make frame_words 0;
-    mmu_shadow = Array.make mmu_words 0;
     touched = no_touches ();
   }
 
-let mem_size t = Array.length t.mem
-let num_devices t = Array.length t.devices
+let mem_size t = t.mem_words
+let num_devices t = Array.length t.kinds
 
+(* The accessors raise in tail position, so that the in-range path needs
+   no stack frame. *)
 let read_phys t a =
-  if a < 0 || a >= Array.length t.mem then invalid_arg "Machine.read_phys";
-  t.mem.(a)
+  if a < 0 || a >= t.mem_words then invalid_arg "Machine.read_phys" else word t.words (t.mem_off + a)
+
+let[@inline] check_range what t a n = if a < 0 || n < 0 || a + n > t.mem_words then invalid_arg what
 
 let read_phys_slice t a n =
-  if a < 0 || n < 0 || a + n > Array.length t.mem then invalid_arg "Machine.read_phys_slice";
-  Array.sub t.mem a n
+  check_range "Machine.read_phys_slice" t a n;
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    out.(i) <- word t.words (t.mem_off + a + i)
+  done;
+  out
+
+let read_phys_words t a n =
+  check_range "Machine.read_phys_words" t a n;
+  Bytes.sub t.words (2 * (t.mem_off + a)) (2 * n)
 
 let write_phys t a w =
-  if a < 0 || a >= Array.length t.mem then invalid_arg "Machine.write_phys";
-  t.mem.(a) <- Word.of_int w
+  if a < 0 || a >= t.mem_words then invalid_arg "Machine.write_phys"
+  else set_word t.words (t.mem_off + a) w
 
-let get_reg t r = t.regs.(r)
-let set_reg t r w = t.regs.(r) <- Word.of_int w
+let write_phys_words t a b =
+  if Bytes.length b land 1 <> 0 then invalid_arg "Machine.write_phys_words";
+  check_range "Machine.write_phys_words" t a (Bytes.length b / 2);
+  Bytes.blit b 0 t.words (2 * (t.mem_off + a)) (Bytes.length b)
 
-let get_flags t = (t.flag_z, t.flag_n)
+let get_reg t r = if r < 0 || r >= num_regs then invalid_arg "Machine.get_reg" else word t.words r
+let set_reg t r w = if r < 0 || r >= num_regs then invalid_arg "Machine.set_reg" else set_word t.words r w
 
-let set_flags t (z, n) =
-  t.flag_z <- z;
-  t.flag_n <- n
+let get_flags t = (t.psw land flag_z_bit <> 0, t.psw land flag_n_bit <> 0)
 
-(* The live slot array is private to its machine ([create], [copy] and
-   [set_mmu] never share it), so slots of an unchanged count are
-   rewritten in place. *)
+let set_flags t (z, n) = t.psw <- (t.psw land kernel_bit) lor Bool.to_int z lor (Bool.to_int n lsl 1)
+
+(* Slots past the count go back to 0, so that equal maps have equal
+   words. *)
+let set_slot_count t n =
+  for k = n to t.nslots - 1 do
+    set_word t.words (slots_off + k) 0
+  done;
+  t.nslots <- n
+
 let set_mmu t ~base ~limit ~dev_slots =
-  assert (base >= 0 && limit >= 0 && base + limit <= Array.length t.mem);
-  t.mm.base <- base;
-  t.mm.limit <- limit;
-  let n = Array.length dev_slots in
-  if Array.length t.mm.dev_slots = n then Array.blit dev_slots 0 t.mm.dev_slots 0 n
-  else t.mm.dev_slots <- Array.copy dev_slots
+  assert (base >= 0 && limit >= 0 && base + limit <= t.mem_words);
+  let n = Array.length dev_slots and ndevs = Array.length t.kinds in
+  if n > t.frame_off - slots_off then invalid_arg "Machine.set_mmu: more slots than the MMU has";
+  for k = 0 to n - 1 do
+    let d = dev_slots.(k) in
+    if d < 0 || d >= ndevs then invalid_arg "Machine.set_mmu: a slot names no device"
+  done;
+  t.base <- base;
+  t.limit <- limit;
+  for k = 0 to n - 1 do
+    set_word t.words (slots_off + k) dev_slots.(k)
+  done;
+  set_slot_count t n
 
-let device_kind t d = t.devices.(d).kind
+let mmu_state t = (t.base, t.limit, Array.init t.nslots (fun k -> word t.words (slots_off + k)))
+
+let read_control t a =
+  if a >= frame_base && a < frame_base + frame_words then word t.words (t.frame_off + a - frame_base)
+  else if a >= mmu_base && a < mmu_base + mmu_words then word t.words (t.shadow_off + a - mmu_base)
+  else invalid_arg "Machine.read_control"
+
+let device_kind t d = t.kinds.(d)
+
+let[@inline] no_device t d = d < 0 || d >= Array.length t.kinds
+
+(* The word indices of device [d]'s data register, status register and
+   IRQ line. *)
+let data_at t d = t.dev_off + (3 * d)
+let status_at t d = t.dev_off + (3 * d) + 1
+let irq_at t d = t.dev_off + (3 * d) + 2
 
 let apply_transform tr w =
   match tr with
@@ -138,58 +214,62 @@ let apply_transform tr w =
   | Add_key k -> Word.add w k
 
 let device_input t d w =
-  let dev = t.devices.(d) in
-  (match dev.kind with
+  (match t.kinds.(d) with
   | Rx -> ()
   | Tx | Xform _ -> invalid_arg "Machine.device_input: not an Rx device");
-  dev.data <- Word.of_int w;
-  dev.status <- 1;
-  dev.irq <- true
+  set_word t.words (data_at t d) w;
+  set_word t.words (status_at t d) 1;
+  set_word t.words (irq_at t d) 1
 
-let device_data t d = t.devices.(d).data
-let device_status t d = t.devices.(d).status
+let device_data t d =
+  if no_device t d then invalid_arg "Machine.device_data" else word t.words (data_at t d)
+
+let device_status t d =
+  if no_device t d then invalid_arg "Machine.device_status" else word t.words (status_at t d)
 
 let device_regs t d =
-  let dev = t.devices.(d) in
-  (dev.data, dev.status)
+  if no_device t d then invalid_arg "Machine.device_regs"
+  else (word t.words (data_at t d), word t.words (status_at t d))
 
 let set_device_regs t d ~data ~status =
-  let dev = t.devices.(d) in
-  dev.data <- Word.of_int data;
-  dev.status <- Word.of_int status
+  if no_device t d then invalid_arg "Machine.set_device_regs"
+  else begin
+    set_word t.words (data_at t d) data;
+    set_word t.words (status_at t d) status
+  end
 
 let complete_transmissions t =
-  for d = 0 to Array.length t.devices - 1 do
-    let dev = t.devices.(d) in
-    match dev.kind with
-    | Tx when dev.status = 1 -> dev.status <- 0
-    | Tx | Rx | Xform _ -> ()
+  for d = 0 to Array.length t.kinds - 1 do
+    match Array.unsafe_get t.kinds d with
+    | Tx -> if word t.words (status_at t d) = 1 then set_word t.words (status_at t d) 0
+    | Rx | Xform _ -> ()
   done
 
-let irq_pending t d = t.devices.(d).irq
+let irq_pending t d =
+  if no_device t d then invalid_arg "Machine.irq_pending" else word t.words (irq_at t d) <> 0
 
-let field_irq t d = t.devices.(d).irq <- false
+let field_irq t d = if no_device t d then invalid_arg "Machine.field_irq" else set_word t.words (irq_at t d) 0
 
 (* Assert a device's interrupt line without latching any data — a
    spurious or duplicated interrupt, as injected by fault campaigns. *)
-let raise_irq t d = t.devices.(d).irq <- true
+let raise_irq t d = if no_device t d then invalid_arg "Machine.raise_irq" else set_word t.words (irq_at t d) 1
 
 (* -- The device-touch record ------------------------------------------------ *)
 
 (* Keep device [d]'s registers as they were before its first touch in this
    instruction; a later touch of the same device changes nothing here. *)
 let touch t d =
-  let tc = t.touched and dev = t.devices.(d) in
+  let tc = t.touched in
   if tc.count = 0 then begin
     tc.dev0 <- d;
-    tc.data0 <- dev.data;
-    tc.status0 <- dev.status;
+    tc.data0 <- word t.words (data_at t d);
+    tc.status0 <- word t.words (status_at t d);
     tc.count <- 1
   end
   else if tc.count = 1 && tc.dev0 <> d then begin
     tc.dev1 <- d;
-    tc.data1 <- dev.data;
-    tc.status1 <- dev.status;
+    tc.data1 <- word t.words (data_at t d);
+    tc.status1 <- word t.words (status_at t d);
     tc.count <- 2
   end
 
@@ -197,8 +277,7 @@ let rec mem_int (a : int array) x i = i < Array.length a && (a.(i) = x || mem_in
 
 (* Whether device [d], one of [ds], no longer holds (data, status). *)
 let differs t ds d data status =
-  let dev = t.devices.(d) in
-  (dev.data <> data || dev.status <> status) && mem_int ds d 0
+  (word t.words (data_at t d) <> data || word t.words (status_at t d) <> status) && mem_int ds d 0
 
 let devices_changed t ds =
   let tc = t.touched in
@@ -223,106 +302,103 @@ let violation = -1
    id past the last device names device 0; on a machine without devices
    no slot is granted at all. *)
 let apply_mmu_shadow t =
-  let mem = Array.length t.mem and ndevs = Array.length t.devices in
-  let base = min t.mmu_shadow.(0) mem in
-  let limit = min t.mmu_shadow.(1) (mem - base) in
-  let count = if ndevs = 0 then 0 else min t.mmu_shadow.(2) 8 in
-  if Array.length t.mm.dev_slots <> count then t.mm.dev_slots <- Array.make count 0;
+  let b = t.words and sh = t.shadow_off in
+  let mem = t.mem_words and ndevs = Array.length t.kinds in
+  let base = min (word b sh) mem in
+  let limit = min (word b (sh + 1)) (mem - base) in
+  let count = if ndevs = 0 then 0 else min (word b (sh + 2)) 8 in
   for k = 0 to count - 1 do
-    let d = t.mmu_shadow.(3 + k) in
-    t.mm.dev_slots.(k) <- (if d < ndevs then d else 0)
+    let d = word b (sh + 3 + k) in
+    set_word b (slots_off + k) (if d < ndevs then d else 0)
   done;
-  t.mm.base <- base;
-  t.mm.limit <- limit
+  set_slot_count t count;
+  t.base <- base;
+  t.limit <- limit
 
 let dev_read t d ~status =
   touch t d;
-  let dev = t.devices.(d) in
-  if status then dev.status
+  if status then word t.words (status_at t d)
   else begin
-    match dev.kind with
+    match Array.unsafe_get t.kinds d with
     | Rx ->
       (* Reading the data register consumes the buffered word. *)
-      dev.status <- 0;
-      dev.data
-    | Tx | Xform _ -> dev.data
+      set_word t.words (status_at t d) 0;
+      word t.words (data_at t d)
+    | Tx | Xform _ -> word t.words (data_at t d)
   end
 
 let dev_write t d ~status w =
   touch t d;
-  let dev = t.devices.(d) in
-  if status then dev.status <- w
+  if status then set_word t.words (status_at t d) w
   else begin
-    match dev.kind with
+    match Array.unsafe_get t.kinds d with
     | Tx ->
-      dev.data <- w;
-      dev.status <- 1 (* pending transmission *)
+      set_word t.words (data_at t d) w;
+      set_word t.words (status_at t d) 1 (* pending transmission *)
     | Xform tr ->
-      dev.data <- apply_transform tr w;
-      dev.status <- 1 (* result ready *)
-    | Rx -> dev.data <- w
+      set_word t.words (data_at t d) (apply_transform tr w);
+      set_word t.words (status_at t d) 1 (* result ready *)
+    | Rx -> set_word t.words (data_at t d) w
   end
 
 let load t vaddr =
   if vaddr < 0 then violation
-  else begin
-    match t.cpu_mode with
-    | User ->
-      if vaddr < device_space then begin
-        if vaddr < t.mm.limit then t.mem.(t.mm.base + vaddr) else violation
-      end
-      else begin
-        let off = vaddr - device_space in
-        let slot = off lsr 1 in
-        if slot < Array.length t.mm.dev_slots then
-          dev_read t t.mm.dev_slots.(slot) ~status:(off land 1 = 1)
-        else violation
-      end
-    | Kernel ->
-      (* physical addressing plus the privileged register files *)
-      if vaddr < Array.length t.mem then t.mem.(vaddr)
-      else if vaddr >= frame_base && vaddr < frame_base + frame_words then
-        t.frame.(vaddr - frame_base)
-      else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then t.mmu_shadow.(vaddr - mmu_base)
+  else if t.psw land kernel_bit = 0 then begin
+    if vaddr < device_space then begin
+      if vaddr < t.limit then word t.words (t.mem_off + t.base + vaddr) else violation
+    end
+    else begin
+      let off = vaddr - device_space in
+      let slot = off lsr 1 in
+      if slot < t.nslots then dev_read t (word t.words (slots_off + slot)) ~status:(off land 1 = 1)
       else violation
+    end
+  end
+  else begin
+    (* physical addressing plus the privileged register files *)
+    if vaddr < t.mem_words then word t.words (t.mem_off + vaddr)
+    else if vaddr >= frame_base && vaddr < frame_base + frame_words then
+      word t.words (t.frame_off + vaddr - frame_base)
+    else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then
+      word t.words (t.shadow_off + vaddr - mmu_base)
+    else violation
   end
 
 let store t vaddr w =
   if vaddr < 0 then false
-  else begin
-    match t.cpu_mode with
-    | User ->
-      if vaddr < device_space then begin
-        if vaddr < t.mm.limit then begin
-          t.mem.(t.mm.base + vaddr) <- Word.of_int w;
-          true
-        end
-        else false
-      end
-      else begin
-        let off = vaddr - device_space in
-        let slot = off lsr 1 in
-        if slot < Array.length t.mm.dev_slots then begin
-          dev_write t t.mm.dev_slots.(slot) ~status:(off land 1 = 1) (Word.of_int w);
-          true
-        end
-        else false
-      end
-    | Kernel ->
-      if vaddr < Array.length t.mem then begin
-        t.mem.(vaddr) <- Word.of_int w;
-        true
-      end
-      else if vaddr >= frame_base && vaddr < frame_base + frame_words then begin
-        t.frame.(vaddr - frame_base) <- Word.of_int w;
-        true
-      end
-      else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then begin
-        t.mmu_shadow.(vaddr - mmu_base) <- Word.of_int w;
-        apply_mmu_shadow t;
+  else if t.psw land kernel_bit = 0 then begin
+    if vaddr < device_space then begin
+      if vaddr < t.limit then begin
+        set_word t.words (t.mem_off + t.base + vaddr) w;
         true
       end
       else false
+    end
+    else begin
+      let off = vaddr - device_space in
+      let slot = off lsr 1 in
+      if slot < t.nslots then begin
+        dev_write t (word t.words (slots_off + slot)) ~status:(off land 1 = 1) (Word.of_int w);
+        true
+      end
+      else false
+    end
+  end
+  else begin
+    if vaddr < t.mem_words then begin
+      set_word t.words (t.mem_off + vaddr) w;
+      true
+    end
+    else if vaddr >= frame_base && vaddr < frame_base + frame_words then begin
+      set_word t.words (t.frame_off + vaddr - frame_base) w;
+      true
+    end
+    else if vaddr >= mmu_base && vaddr < mmu_base + mmu_words then begin
+      set_word t.words (t.shadow_off + vaddr - mmu_base) w;
+      apply_mmu_shadow t;
+      true
+    end
+    else false
   end
 
 let store_user t vaddr w =
@@ -330,24 +406,26 @@ let store_user t vaddr w =
   store t vaddr w
 
 let set_zn t w =
-  t.flag_z <- Word.is_zero w;
-  t.flag_n <- Word.is_negative w
+  t.psw <- (t.psw land kernel_bit) lor Bool.to_int (Word.is_zero w) lor ((w lsr 14) land flag_n_bit)
 
-let bump t pc = t.regs.(Isa.pc_reg) <- Word.add pc 1
+let reg t r = word t.words r
+let set_reg_word t r w = set_word t.words r w
+
+let bump t pc = set_reg_word t pc_reg (Word.add pc 1)
 
 let alu t pc dst v =
   set_zn t v;
-  t.regs.(dst) <- v;
+  set_reg_word t dst v;
   bump t pc;
   Stepped
 
 let access_fault t vaddr =
-  if t.cpu_mode = User && vaddr >= device_space then Faulted (Device_violation vaddr)
+  if t.psw land kernel_bit = 0 && vaddr >= device_space then Faulted (Device_violation vaddr)
   else Faulted (Mem_violation vaddr)
 
 let step_user t =
   t.touched.count <- 0;
-  let pc = t.regs.(Isa.pc_reg) in
+  let pc = reg t pc_reg in
   let insn_word = load t pc in
   if insn_word = violation then Faulted (Mem_violation pc)
   else begin
@@ -363,13 +441,9 @@ let step_user t =
         bump t pc;
         Waiting
       | Isa.Rti ->
-        if t.cpu_mode = Kernel then begin
-          for i = 0 to Isa.num_regs - 1 do
-            t.regs.(i) <- Word.of_int t.frame.(i)
-          done;
-          t.flag_z <- t.frame.(8) land 1 <> 0;
-          t.flag_n <- t.frame.(8) land 2 <> 0;
-          t.cpu_mode <- User;
+        if t.psw land kernel_bit <> 0 then begin
+          Bytes.blit t.words (2 * t.frame_off) t.words 0 (2 * num_regs);
+          t.psw <- word t.words (t.frame_off + 8) land (flag_z_bit lor flag_n_bit);
           Returned
         end
         else Faulted (Illegal_instruction insn_word)
@@ -378,72 +452,53 @@ let step_user t =
         Trapped n
       | Isa.Loadi (r, imm) -> alu t pc r (Word.of_int imm)
       | Isa.Load (r, b, off) ->
-        let vaddr = Word.add t.regs.(b) (Word.of_int off) in
+        let vaddr = Word.add (reg t b) (Word.of_int off) in
         let v = load t vaddr in
         if v = violation then access_fault t vaddr else alu t pc r v
       | Isa.Store (r, b, off) ->
-        let vaddr = Word.add t.regs.(b) (Word.of_int off) in
-        if store t vaddr t.regs.(r) then begin
+        let vaddr = Word.add (reg t b) (Word.of_int off) in
+        if store t vaddr (reg t r) then begin
           bump t pc;
           Stepped
         end
         else access_fault t vaddr
-      | Isa.Mov (d, s) -> alu t pc d t.regs.(s)
-      | Isa.Add (d, s) -> alu t pc d (Word.add t.regs.(d) t.regs.(s))
-      | Isa.Sub (d, s) -> alu t pc d (Word.sub t.regs.(d) t.regs.(s))
-      | Isa.And_ (d, s) -> alu t pc d (Word.logand t.regs.(d) t.regs.(s))
-      | Isa.Or_ (d, s) -> alu t pc d (Word.logor t.regs.(d) t.regs.(s))
-      | Isa.Xor (d, s) -> alu t pc d (Word.logxor t.regs.(d) t.regs.(s))
+      | Isa.Mov (d, s) -> alu t pc d (reg t s)
+      | Isa.Add (d, s) -> alu t pc d (Word.add (reg t d) (reg t s))
+      | Isa.Sub (d, s) -> alu t pc d (Word.sub (reg t d) (reg t s))
+      | Isa.And_ (d, s) -> alu t pc d (Word.logand (reg t d) (reg t s))
+      | Isa.Or_ (d, s) -> alu t pc d (Word.logor (reg t d) (reg t s))
+      | Isa.Xor (d, s) -> alu t pc d (Word.logxor (reg t d) (reg t s))
       | Isa.Cmp (d, s) ->
-        set_zn t (Word.sub t.regs.(d) t.regs.(s));
+        set_zn t (Word.sub (reg t d) (reg t s));
         bump t pc;
         Stepped
-      | Isa.Shl (r, a) -> alu t pc r (Word.shift_left t.regs.(r) a)
-      | Isa.Shr (r, a) -> alu t pc r (Word.shift_right t.regs.(r) a)
+      | Isa.Shl (r, a) -> alu t pc r (Word.shift_left (reg t r) a)
+      | Isa.Shr (r, a) -> alu t pc r (Word.shift_right (reg t r) a)
       | Isa.Beq off ->
-        if t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump t pc;
+        if t.psw land flag_z_bit <> 0 then set_reg_word t pc_reg (pc + 1 + off) else bump t pc;
         Stepped
       | Isa.Bne off ->
-        if not t.flag_z then t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off) else bump t pc;
+        if t.psw land flag_z_bit = 0 then set_reg_word t pc_reg (pc + 1 + off) else bump t pc;
         Stepped
       | Isa.Br off ->
-        t.regs.(Isa.pc_reg) <- Word.of_int (pc + 1 + off);
+        set_reg_word t pc_reg (pc + 1 + off);
         Stepped)
   end
 
 let instruction_count t = t.instructions
 
-let mode t = t.cpu_mode
+let mode t = if t.psw land kernel_bit = 0 then User else Kernel
 
 let enter_kernel t ~cause ~vector =
-  for i = 0 to Isa.num_regs - 1 do
-    t.frame.(i) <- t.regs.(i)
-  done;
-  t.frame.(8) <- (if t.flag_z then 1 else 0) lor (if t.flag_n then 2 else 0);
-  t.frame.(9) <- Word.of_int cause;
-  t.cpu_mode <- Kernel;
-  t.regs.(Isa.pc_reg) <- Word.of_int vector
+  Bytes.blit t.words 0 t.words (2 * t.frame_off) (2 * num_regs);
+  set_word t.words (t.frame_off + 8) (t.psw land (flag_z_bit lor flag_n_bit));
+  set_word t.words (t.frame_off + 9) cause;
+  t.psw <- t.psw lor kernel_bit;
+  set_reg_word t pc_reg vector
 
-let copy t =
-  let copy_device d = { d with kind = d.kind } in
-  {
-    mem = Array.copy t.mem;
-    regs = Array.copy t.regs;
-    flag_z = t.flag_z;
-    flag_n = t.flag_n;
-    mm = { base = t.mm.base; limit = t.mm.limit; dev_slots = Array.copy t.mm.dev_slots };
-    devices = Array.map copy_device t.devices;
-    instructions = t.instructions;
-    cpu_mode = t.cpu_mode;
-    frame = Array.copy t.frame;
-    mmu_shadow = Array.copy t.mmu_shadow;
-    touched = no_touches ();
-  }
-
-let rec ints_from (a : int array) (b : int array) i =
-  i = Array.length a || (a.(i) = b.(i) && ints_from a b (i + 1))
-
-let same_ints (a : int array) (b : int array) = Array.length a = Array.length b && ints_from a b 0
+(* A record copy and one [Bytes.copy]: the buffer holds no pointers, so
+   the copy is one allocation and a memcpy, with no write barrier. *)
+let copy t = { t with words = Bytes.copy t.words; touched = no_touches () }
 
 let same_kind x y =
   match (x, y) with
@@ -451,49 +506,54 @@ let same_kind x y =
   | Xform (Xor_key k), Xform (Xor_key k') | Xform (Add_key k), Xform (Add_key k') -> k = k'
   | (Rx | Tx | Xform _), _ -> false
 
-let same_device x y =
-  same_kind x.kind y.kind && x.data = y.data && x.status = y.status && Bool.equal x.irq y.irq
+let rec kinds_from (a : device_kind array) (b : device_kind array) i =
+  i = Array.length a || (same_kind a.(i) b.(i) && kinds_from a b (i + 1))
 
-let rec devices_from (a : device array) (b : device array) i =
-  i = Array.length a || (same_device a.(i) b.(i) && devices_from a b (i + 1))
-
-let same_mode x y = match (x, y) with User, User | Kernel, Kernel -> true | (User | Kernel), _ -> false
+let same_kinds a b = a == b || (Array.length a = Array.length b && kinds_from a b 0)
 
 (* The instruction counter is bookkeeping, not machine state: two runs that
    reach the same machine configuration by different paths are the same
-   state for verification purposes. Every compare is on ints, bools or
-   constructors, field by field: no polymorphic compare. *)
+   state for verification purposes. The scalars first, then the buffer,
+   then the kinds, which copies share. *)
 let equal a b =
-  same_ints a.mem b.mem && same_ints a.regs b.regs
-  && Bool.equal a.flag_z b.flag_z && Bool.equal a.flag_n b.flag_n
-  && a.mm.base = b.mm.base && a.mm.limit = b.mm.limit && same_ints a.mm.dev_slots b.mm.dev_slots
-  && same_mode a.cpu_mode b.cpu_mode && same_ints a.frame b.frame
-  && same_ints a.mmu_shadow b.mmu_shadow
-  && Array.length a.devices = Array.length b.devices
-  && devices_from a.devices b.devices 0
+  a.psw = b.psw && a.base = b.base && a.limit = b.limit && a.nslots = b.nslots
+  && Bytes.equal a.words b.words && same_kinds a.kinds b.kinds
 
 (* One word per device: kind tag, IRQ line, 16-bit status and data. *)
-let device_word d =
-  let kind = match d.kind with Rx -> 0 | Tx -> 1 | Xform _ -> 2 in
-  kind lor (Bool.to_int d.irq lsl 2) lor (d.status lsl 3) lor (d.data lsl 19)
+let device_word t d =
+  let kind = match Array.unsafe_get t.kinds d with Rx -> 0 | Tx -> 1 | Xform _ -> 2 in
+  kind lor (word t.words (irq_at t d) lsl 2) lor (word t.words (status_at t d) lsl 3)
+  lor (word t.words (data_at t d) lsl 19)
 
-(* Mixes every field [equal] compares, word by word; see [Sep_util.Mix]. *)
+(* Mixes every word [equal] compares, in an order pinned digests rely
+   on: memory, registers, flags and mode, base, limit, slots, trap frame,
+   MMU shadow, devices. See [Sep_util.Mix]. *)
 let hash t =
   let module Mix = Sep_util.Mix in
-  let h = Mix.ints (Mix.ints Mix.seed t.mem) t.regs in
-  let mode = match t.cpu_mode with User -> 0 | Kernel -> 4 in
-  let h = Mix.int h (Bool.to_int t.flag_z lor (Bool.to_int t.flag_n lsl 1) lor mode) in
-  let h = Mix.ints (Mix.int (Mix.int h t.mm.base) t.mm.limit) t.mm.dev_slots in
-  let h = Mix.ints (Mix.ints h t.frame) t.mmu_shadow in
-  Mix.finish (Array.fold_left (fun h d -> Mix.int h (device_word d)) h t.devices)
+  let b = t.words in
+  let h = Mix.words16 (Mix.words16 Mix.seed b t.mem_off t.mem_words) b 0 num_regs in
+  let h = Mix.int h t.psw in
+  let h = Mix.words16 (Mix.int (Mix.int h t.base) t.limit) b slots_off t.nslots in
+  let h = ref (Mix.words16 (Mix.words16 h b t.frame_off frame_words) b t.shadow_off mmu_words) in
+  for d = 0 to Array.length t.kinds - 1 do
+    h := Mix.int !h (device_word t d)
+  done;
+  Mix.finish !h
 
 let pp ppf t =
-  let digest = Array.fold_left (fun acc w -> (acc * 31) + w) 0 t.mem in
+  let digest = ref 0 in
+  for a = 0 to t.mem_words - 1 do
+    digest := (!digest * 31) + word t.words (t.mem_off + a)
+  done;
+  let base, limit, slots = mmu_state t in
+  let device d = (word t.words (data_at t d), word t.words (status_at t d), word t.words (irq_at t d) <> 0) in
   Fmt.pf ppf "@[<v>%s regs=%a z=%b n=%b@ mmu=(base=%d limit=%d slots=%a)@ devs=%a@ mem#=%08x@]"
-    (match t.cpu_mode with User -> "user" | Kernel -> "KERNEL")
+    (if t.psw land kernel_bit = 0 then "user" else "KERNEL")
     Fmt.(Dump.array int)
-    t.regs t.flag_z t.flag_n t.mm.base t.mm.limit
+    (Array.init num_regs (reg t))
+    (t.psw land flag_z_bit <> 0) (t.psw land flag_n_bit <> 0) base limit
     Fmt.(Dump.array int)
-    t.mm.dev_slots
-    Fmt.(Dump.array (fun ppf d -> Fmt.pf ppf "(%x,%x,%b)" d.data d.status d.irq))
-    t.devices digest
+    slots
+    Fmt.(Dump.array (fun ppf (data, status, irq) -> Fmt.pf ppf "(%x,%x,%b)" data status irq))
+    (Array.init (Array.length t.kinds) device)
+    !digest

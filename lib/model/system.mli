@@ -54,6 +54,11 @@ type ('s, 'i, 'o, 'a, 'p) t = {
   equal_state : 's -> 's -> bool;
   hash_state : 's -> int;
   equal_abstate : 'a -> 'a -> bool;
+      (** Must be an equivalence, and [hash_abstate], [pp_abstate] and
+          [sanctioned_interference] must respect it: equal values hash
+          alike, print alike and are sanctioned alike. The exhaustive
+          checker keeps one value per class and hands it to the three in
+          place of any other member of the class. *)
   hash_abstate : 'a -> int;
   equal_proj : 'p -> 'p -> bool;
   pp_state : Format.formatter -> 's -> unit;

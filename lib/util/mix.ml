@@ -16,6 +16,18 @@ let ints h a =
   done;
   int !h (Array.length a)
 
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
+(* The loop stays here, next to [int], so that each word costs a
+   multiply and a xor rather than a call. *)
+let words16 h b off n =
+  if off < 0 || n < 0 || 2 * (off + n) > Bytes.length b then invalid_arg "Mix.words16";
+  let h = ref h in
+  for i = off to off + n - 1 do
+    h := int !h (get16u b (2 * i))
+  done;
+  int !h n
+
 let finish h =
   let h = h lxor (h lsr 32) in
   let h = h * 0x1d8e4e27c47d124f in

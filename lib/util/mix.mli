@@ -18,6 +18,12 @@ val int : int -> int -> int
 val ints : int -> int array -> int
 (** Fold every element of the array in order, then its length. *)
 
+val words16 : int -> Bytes.t -> int -> int -> int
+(** [words16 h b off n] folds the [n] unsigned 16-bit words that start at
+    word [off] of [b] (2 bytes a word, native byte order), then [n]: the
+    same value as {!ints} on an array of those words. Raises
+    [Invalid_argument] when the range is outside [b]. *)
+
 val finish : int -> int
 (** Spread the accumulator's high bits over the low ones (which hash
     tables index by) and make it non-negative. *)

@@ -368,20 +368,25 @@ let test_machine_equal_sees_every_flip () =
         kinds)
     kinds
 
-(* The reference [Machine.equal] is held to: polymorphic structural
-   equality of every field of the machine record but the two that are
-   bookkeeping, the instruction counter and the device-touch record — the
-   definition before [equal] compared words. The record is abstract here,
-   so its fields are read by position; the guard fails first if the
-   record changes shape. *)
+(* The reference [Machine.equal] is held to: structural equality of the
+   state the interface describes, read part by part through the public
+   accessors — the memory size and every memory word, the registers, the
+   flags, the mode, the live MMU (base, limit, slots), every trap-frame
+   and MMU-shadow word, and each device's kind, data, status and IRQ
+   line. It reads nothing of the buffer's layout, and it leaves out what
+   is bookkeeping: the instruction counter and the device-touch
+   record. *)
 let reference_equal (a : Machine.t) (b : Machine.t) =
-  let fields m =
-    let r = Obj.repr m in
-    if Obj.size r <> 11 || (Obj.obj (Obj.field r 6) : int) <> Machine.instruction_count m then
-      Alcotest.fail "the machine record changed shape: update the reference";
-    List.filter_map (fun i -> if i = 6 || i = 10 then None else Some (Obj.field r i)) (List.init 11 Fun.id)
+  let parts m =
+    ( List.init (Machine.mem_size m) (Machine.read_phys m),
+      List.init Isa.num_regs (Machine.get_reg m),
+      (Machine.get_flags m, Machine.mode m, Machine.mmu_state m),
+      List.init 10 (fun i -> Machine.read_control m (Machine.frame_base + i)),
+      List.init 11 (fun i -> Machine.read_control m (Machine.mmu_base + i)),
+      List.init (Machine.num_devices m) (fun d ->
+          (Machine.device_kind m d, Machine.device_regs m d, Machine.irq_pending m d)) )
   in
-  List.for_all2 (fun x y -> x = y) (fields a) (fields b)
+  parts a = parts b
 
 (* Reachable kernel states, and for state [k] the states the checker
    derives from it — its post-INPUT states and their NEXTOP successors —
@@ -463,6 +468,61 @@ let test_machine_instruction_count_not_state () =
   (* a is back at pc=0 with flags untouched by Nop/Br; only the counter moved *)
   Alcotest.(check bool) "counter excluded from equality" true (Machine.equal a b);
   Alcotest.(check int) "counter advanced" 2 (Machine.instruction_count a)
+
+(* The slots past the granted count hold 0: a map shrunk in place equals
+   one programmed small from the start, and hashes alike, whether it
+   shrank through [set_mmu] or through the MMU shadow. *)
+let test_machine_shrunk_slots_canonical () =
+  let fresh () = Machine.create ~mem_words:64 ~devices:Machine.[ Rx; Tx; Rx; Tx ] in
+  let same what a b =
+    Alcotest.(check bool) (what ^ ": equal") true (Machine.equal a b && Machine.equal b a);
+    Alcotest.(check int) (what ^ ": hash") (Machine.hash b) (Machine.hash a)
+  in
+  let a = fresh () and b = fresh () in
+  Machine.set_mmu a ~base:4 ~limit:32 ~dev_slots:[| 3; 2; 1; 0 |];
+  Machine.set_mmu a ~base:4 ~limit:32 ~dev_slots:[| 3 |];
+  Machine.set_mmu b ~base:4 ~limit:32 ~dev_slots:[| 3 |];
+  same "set_mmu, 4 slots to 1" a b;
+  Machine.set_mmu a ~base:4 ~limit:32 ~dev_slots:[||];
+  Machine.set_mmu b ~base:4 ~limit:32 ~dev_slots:[||];
+  same "set_mmu, 1 slot to none" a b;
+  (* the same through the shadow: both write the same shadow words, but
+     [a] grants four slots before it grants one *)
+  let a = fresh () and b = fresh () in
+  let program m count =
+    Machine.enter_kernel m ~cause:0 ~vector:0;
+    List.iter
+      (fun (off, w) ->
+        Alcotest.(check bool) "shadow writable" true (Machine.store_user m (Machine.mmu_base + off) w))
+      [ (0, 4); (1, 32); (3, 3); (4, 2); (5, 1); (6, 0); (2, count) ]
+  in
+  program a 4;
+  let _, _, slots = Machine.mmu_state a in
+  Alcotest.(check (array int)) "four slots granted" [| 3; 2; 1; 0 |] slots;
+  Alcotest.(check bool) "shadow shrinks the map" true (Machine.store_user a (Machine.mmu_base + 2) 1);
+  program b 1;
+  same "shadow, 4 slots to 1" a b
+
+(* [set_mmu] takes only device ids of the machine, and no more slots than
+   the MMU has; a rejected map leaves the machine as it was. *)
+let test_machine_set_mmu_rejects_bad_slot () =
+  let m = Machine.create ~mem_words:64 ~devices:Machine.[ Rx; Tx ] in
+  Machine.set_mmu m ~base:0 ~limit:32 ~dev_slots:[| 1 |];
+  let before = Machine.copy m in
+  List.iter
+    (fun slots ->
+      match Machine.set_mmu m ~base:8 ~limit:16 ~dev_slots:slots with
+      | () -> Alcotest.failf "slots %a accepted" Fmt.(Dump.array int) slots
+      | exception Invalid_argument _ -> ())
+    [ [| 2 |]; [| 0; -1 |]; [| 0x7fff |]; Array.make 9 0 ];
+  Alcotest.(check bool) "rejected maps change nothing" true (Machine.equal m before);
+  (match Machine.set_mmu (Machine.create ~mem_words:8 ~devices:[]) ~base:0 ~limit:8 ~dev_slots:[| 0 |] with
+  | () -> Alcotest.fail "a slot accepted on a machine without devices"
+  | exception Invalid_argument _ -> ());
+  (* eight slots, repeats allowed, are as many as the MMU has *)
+  Machine.set_mmu m ~base:0 ~limit:32 ~dev_slots:(Array.make 8 1);
+  let _, _, slots = Machine.mmu_state m in
+  Alcotest.(check int) "eight slots" 8 (Array.length slots)
 
 (* A kernel bug that programs a device slot on a machine without devices
    must fault the access, not take the simulator down. *)
@@ -641,6 +701,8 @@ let () =
           qtest equal_agrees_with_reference;
           Alcotest.test_case "instruction count not state" `Quick test_machine_instruction_count_not_state;
           Alcotest.test_case "slot on a machine without devices" `Quick test_machine_no_devices_slot_faults;
+          Alcotest.test_case "shrunk slot maps are canonical" `Quick test_machine_shrunk_slots_canonical;
+          Alcotest.test_case "set_mmu rejects a bad slot" `Quick test_machine_set_mmu_rejects_bad_slot;
         ] );
       ( "device effect",
         [

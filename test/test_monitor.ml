@@ -294,6 +294,66 @@ let test_watch_reports_pinned () =
   in
   check Alcotest.(list (pair string string)) "watch report digests" pins got
 
+(* A deep check runs INPUT and the next operation on snapshots of the
+   watched kernel. Strike a guard smash the kernel has not swept yet, just
+   before a deep check whose snapshots switch regimes: the snapshots sweep
+   the guard, audit the breach and take a SWAP-boundary checkpoint, and
+   the watched kernel must see none of it. Its twin, built and driven
+   alike but never watched, is the reference: the two must agree on the
+   kernel counters, on the audit log, and on what a warm reboot restores
+   from their checkpoints. *)
+let test_watch_leaves_kernel_alone () =
+  let inst = Scenarios.pipeline in
+  let live = Sue.build inst.Scenarios.cfg and twin = Sue.build inst.Scenarios.cfg in
+  let same what =
+    Alcotest.(check bool) (what ^ ": kstats") true (Sue.kstats live = Sue.kstats twin);
+    check Alcotest.int (what ^ ": audit count") (Sue.audit_count twin) (Sue.audit_count live)
+  in
+  let swap_next t =
+    let name = Sue.nextop_name t in
+    String.length name > 5 && String.sub name (String.length name - 5) 5 = ":0200"
+  in
+  (* advance both, a few steps in, to a state whose next operation is a SWAP *)
+  let rec advance k = function
+    | [] -> Alcotest.fail "no SWAP ahead"
+    | input :: rest ->
+      if k < 4 || not (swap_next live) then begin
+        ignore (Sue.step live input);
+        ignore (Sue.step twin input);
+        advance (k + 1) rest
+      end
+      else rest
+  in
+  let rest = advance 0 (drip inst 120) in
+  let smash = Fault_plan.Guard_smash { index = 0 } in
+  Campaign.strike live smash;
+  Campaign.strike twin smash;
+  (* the hypothetical SWAP finds the breach *)
+  let probe = Sue.detached_copies live () in
+  Sue.exec_op probe;
+  check Alcotest.int "a snapshot's SWAP audits the breach" (Sue.audit_count live + 1) (Sue.audit_count probe);
+  same "after a detached SWAP";
+  (* attaching checks the current state at once *)
+  let w = Monitor.watch ~period:1 ~inputs:inst.Scenarios.alphabet live in
+  same "after the deep check";
+  Alcotest.(check bool) "nothing audited on the live kernel" true (Sue.drain_faults live = []);
+  ignore (Sue.drain_faults twin);
+  List.iter
+    (fun input ->
+      ignore (Sue.step live input);
+      Monitor.observe w;
+      ignore (Sue.step twin input))
+    rest;
+  Alcotest.(check bool) "deep checks ran" true (Monitor.deep_checks w > List.length rest);
+  same "after the run";
+  Alcotest.(check bool) "the same audit log" true (Sue.drain_faults live = Sue.drain_faults twin);
+  (* the checkpoints: a warm reboot restores every regime from its own *)
+  Sue.crash live;
+  Sue.crash twin;
+  Alcotest.(check bool) "the same regimes restored" true (Sue.warm_reboot live = Sue.warm_reboot twin);
+  Alcotest.(check bool) "the same restored state" true (Sue.equal live twin);
+  same "after the warm reboot"
+
 (* -- the campaign hook ------------------------------------------------------- *)
 
 let test_campaign_monitored_case () =
@@ -329,6 +389,7 @@ let () =
           Alcotest.test_case "clean kernel stays clean" `Quick test_watch_clean;
           Alcotest.test_case "realized-state bugs flagged" `Quick test_watch_detects_bugs;
           Alcotest.test_case "reports pinned" `Quick test_watch_reports_pinned;
+          Alcotest.test_case "deep checks leave the kernel alone" `Quick test_watch_leaves_kernel_alone;
         ] );
       ( "campaign",
         [ Alcotest.test_case "monitored case" `Quick test_campaign_monitored_case ] );

@@ -336,6 +336,67 @@ let test_scaled_exhaustive () =
   let r = Separability.check sys in
   Alcotest.(check bool) "scaled exhaustive verified" true (Separability.verified r)
 
+(* The ids [Separability.check] compares on the graph path are exact.
+   For every colour, checked against an ordered map keyed by the Phi
+   value itself (polymorphic compare, which is [Abstract_regime.equal]
+   and uses neither [hash_abstate] nor [equal_abstate]): each state's
+   Phi is its id's value; states with equal Phi share an id; and the ids
+   number densely the classes of the states the check abstracts — the
+   graph's, and NEXTOP's successors in the states that are never
+   post-INPUT. Every scenario on both kernels; preemptive does not run
+   on the assembly kernel. *)
+module Phi_map = Map.Make (struct
+  type t = Sep_core.Abstract_regime.t
+
+  let compare = compare
+end)
+
+let test_interned_views_exact () =
+  let module System = Sep_model.System in
+  List.iter
+    (fun ((inst : Scenarios.instance), impl) ->
+      let label = Fmt.str "%s:%a" inst.Scenarios.label Sue.pp_impl impl in
+      let sys = Sue.to_system ~impl ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
+      let g = System.explore sys in
+      let ids, values = Separability.interned_views sys g in
+      let unlisted =
+        List.filter_map
+          (fun k ->
+            if g.System.after_op.(k) >= 0 then None
+            else
+              let s = g.System.states.(k) in
+              Some ((sys.System.nextop s).System.op_apply s))
+          (List.init (Array.length g.System.states) Fun.id)
+      in
+      List.iteri
+        (fun ci c ->
+          let what = Fmt.str "%s %a" label Sep_model.Colour.pp c in
+          let phi s = sys.System.abstract c s in
+          let classes =
+            Array.fold_left
+              (fun (classes, k) s ->
+                let a = phi s and id = ids.(ci).(k) in
+                if not (Sep_core.Abstract_regime.equal a values.(ci).(id)) then
+                  Alcotest.failf "%s: state %d is not its id's value" what k;
+                (match Phi_map.find_opt a classes with
+                | Some id' when id' <> id -> Alcotest.failf "%s: state %d: equal views, ids %d and %d" what k id' id
+                | Some _ | None -> ());
+                (Phi_map.add a id classes, k + 1))
+              (Phi_map.empty, 0) g.System.states
+            |> fst
+          in
+          let classes = List.fold_left (fun m s -> Phi_map.add (phi s) (-1) m) classes unlisted in
+          Alcotest.(check int) (what ^ ": one id per class") (Phi_map.cardinal classes) (Array.length values.(ci));
+          Array.iter
+            (fun v -> if not (Phi_map.mem v classes) then Alcotest.failf "%s: a value of no state" what)
+            values.(ci))
+        sys.System.colours)
+    (List.concat_map
+       (fun inst ->
+         (inst, Sue.Microcode)
+         :: (if inst.Scenarios.cfg.Config.quantum = None then [ (inst, Sue.Assembly) ] else []))
+       Scenarios.all)
+
 (* E13: the kernel as machine code — implementation-level verification. *)
 let test_assembly_kernel_verifies () =
   List.iter
@@ -599,6 +660,7 @@ let () =
           Alcotest.test_case "scaled" `Quick test_scaled_exhaustive;
           Alcotest.test_case "report counts" `Quick test_report_counts;
           Alcotest.test_case "more exhaustive digests" `Quick test_exhaustive_digests;
+          Alcotest.test_case "interned views are exact" `Slow test_interned_views_exact;
         ] );
       ("mutants (E4)", mutant_cases);
       ( "wire-cutting (E5)",
