@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# Record what a fixed set of rushby commands prints, for a byte-for-byte
+# comparison of two checkouts:
+#
+#   bash bin/snapshot.sh DIR
+#
+# run from anywhere inside a checkout. For each command it writes
+# DIR/<name>.out (stdout, then a last line "exit <code>") and, when the
+# command writes a JSONL report, DIR/<name>.jsonl. The only line dropped
+# from stdout is "wrote <path>", since the path names DIR. Snapshot a
+# parent checkout and a changed one, then compare them with
+#
+#   diff -r PARENT_DIR CHANGE_DIR
+#
+# The command set:
+#   - the JSONL reports bin/ci.sh diffs across job counts, at -j 1;
+#   - verify on 4 scenarios x 2 kernels x {clean, each of the 8 seeded
+#     bugs}, skipping preemptive x assembly (the assembly kernel has no
+#     preemption quantum);
+#   - mutants, monitor --smoke, and verify-random on pipeline, interrupt
+#     and snfe-micro.
+set -euo pipefail
+if [ "$#" -ne 1 ]; then
+  echo "usage: bash bin/snapshot.sh DIR" >&2
+  exit 2
+fi
+mkdir -p "$1"
+out="$(cd "$1" && pwd)"
+cd "$(dirname "$0")/.."
+dune build --display quiet ./bin/rushby.exe
+rushby="$PWD/_build/default/bin/rushby.exe"
+
+# snap NAME ARG... : run rushby with ARGs, keep stdout and the exit code
+snap() {
+  local name="$1"
+  shift
+  local status=0
+  "$rushby" "$@" > "$out/$name.raw" || status=$?
+  grep -v '^wrote ' "$out/$name.raw" > "$out/$name.out" || true
+  rm -f "$out/$name.raw"
+  echo "exit $status" >> "$out/$name.out"
+}
+
+# snap_json NAME ARG... : the same, with the JSONL report in NAME.jsonl
+snap_json() {
+  local name="$1"
+  shift
+  snap "$name" "$@" --json "$out/$name.jsonl"
+}
+
+snap_json inject inject --smoke -j 1
+snap_json fuzz fuzz --smoke --seed 5 -j 1
+snap_json fuzz-asm fuzz --smoke --seed 5 --impl assembly -j 1
+snap_json federate federate --smoke --chaos -j 1
+snap_json refine refine --smoke -j 1
+snap_json serve serve --smoke -j 1
+snap_json soak serve --steps 5000 --count 2 -j 1
+
+bugs="forget-register-save partition-hole misroute-interrupt misroute-device-input
+  output-leak schedule-on-foreign-state uncut-channel input-crosstalk"
+for scenario in pipeline interrupt preemptive snfe-micro; do
+  for impl in microcode assembly; do
+    [ "$scenario/$impl" = preemptive/assembly ] && continue
+    snap "verify-$scenario-$impl-clean" verify --scenario "$scenario" --impl "$impl"
+    for bug in $bugs; do
+      snap "verify-$scenario-$impl-$bug" verify --scenario "$scenario" --impl "$impl" --bug "$bug"
+    done
+  done
+done
+
+snap mutants mutants
+snap monitor-smoke monitor --smoke
+for scenario in pipeline interrupt snfe-micro; do
+  snap "verify-random-$scenario" verify-random --scenario "$scenario"
+done

@@ -71,11 +71,10 @@ let record t ~step fresh condition colour detail =
   end
 
 (* Conditions 1 and 2 on the state's actually-selected operation — the
-   per-state half of [Separability.check_ops]. [phis] is Phi^c(s) for
-   every colour, in colour order. *)
-let check_ops t ~step fresh s phis =
+   per-state half of [Separability.check_ops]. [op] is NEXTOP(s), and
+   [phis] is Phi^c(s) for every colour, in colour order. *)
+let check_ops t ~step fresh s op phis =
   let sys = t.sys in
-  let op = sys.System.nextop s in
   let c = sys.System.colour_of s in
   let s' = op.System.op_apply s in
   tick t 1;
@@ -128,14 +127,23 @@ let check_cond4 t ~step fresh c s images =
    post-INPUT states and the output do not depend on the colour, so they
    are built once per state and only abstracted per colour: INPUT works
    on a copy and Phi only reads, so every check sees the values it would
-   see if each colour built its own. *)
-let check_views t ~step fresh s phis =
+   see if each colour built its own. A post-INPUT state [equal_state] to
+   [s] (an input that changes nothing, the common case) has [s]'s views,
+   since Phi^c respects [equal_state]: its images are [phis] itself. *)
+let check_views t ~step fresh s op_name phis =
   let sys = t.sys in
-  let posts = List.map (fun i -> (i, sys.System.input s i)) sys.System.inputs in
+  let posts =
+    List.map
+      (fun i ->
+        let s' = sys.System.input s i in
+        (i, if sys.System.equal_state s' s then None else Some s'))
+      sys.System.inputs
+  in
   let output = sys.System.output s in
   List.iter2
     (fun (c, tbl) (_, a) ->
-      let imgs = List.map (fun (i, s') -> (i, sys.System.abstract c s')) posts in
+      let image = function Some s' -> sys.System.abstract c s' | None -> a in
+      let imgs = List.map (fun (i, s') -> (i, image s')) posts in
       check_cond4 t ~step fresh c s imgs;
       let out = sys.System.extract_output c output in
       let mine = Colour.equal (sys.System.colour_of s) c in
@@ -150,7 +158,7 @@ let check_views t ~step fresh s phis =
       in
       match List.find_opt (fun (a', _, _, _, _) -> sys.System.equal_abstate a a') !bucket_list with
       | None ->
-        let op6 = ref (if mine then Some (sys.System.nextop s).System.op_name else None) in
+        let op6 = ref (if mine then Some op_name else None) in
         bucket_list := (a, s, imgs, out, op6) :: !bucket_list;
         t.reps <- t.reps + 1;
         Sep_obs.Telemetry.set (frontier_gauge ()) (float_of_int t.reps)
@@ -172,16 +180,15 @@ let check_views t ~step fresh s phis =
             (Fmt.str "states@ %a@ and@ %a@ look alike to %a but emit different %a-outputs"
                sys.System.pp_state s sys.System.pp_state rep Colour.pp c Colour.pp c);
         if mine then begin
-          let name = (sys.System.nextop s).System.op_name in
           match !rep_op with
-          | None -> rep_op := Some name
+          | None -> rep_op := Some op_name
           | Some rep_name ->
             tick t 6;
-            if not (String.equal name rep_name) then
+            if not (String.equal op_name rep_name) then
               record t ~step fresh 6 c
                 (Fmt.str
                    "states@ %a@ and@ %a@ look alike to the active regime %a but select %s vs %s"
-                   sys.System.pp_state s sys.System.pp_state rep Colour.pp c name rep_name)
+                   sys.System.pp_state s sys.System.pp_state rep Colour.pp c op_name rep_name)
         end)
     t.tables phis
 
@@ -191,8 +198,9 @@ let feed ?step t s =
   t.states <- t.states + 1;
   (* Phi^c(s) once per colour, shared by both passes *)
   let phis = List.map (fun c -> (c, t.sys.System.abstract c s)) t.sys.System.colours in
-  check_ops t ~step fresh s phis;
-  check_views t ~step fresh s phis;
+  let op = t.sys.System.nextop s in
+  check_ops t ~step fresh s op phis;
+  check_views t ~step fresh s op.System.op_name phis;
   List.rev !fresh
 
 let report t =

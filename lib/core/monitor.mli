@@ -21,10 +21,21 @@
     {!Sue} kernel: after every {!Sue.step} a cheap O(1) probe
     ({!Sue.audit_count}) decides whether the kernel just detected
     something; deep checks run on audit activity and on a sampling
-    period, keeping amortized overhead on an uninstrumented kernel run
-    within a few percent. Fault campaigns and the fuzzer use [feed] with
-    per-step attribution instead, where the driver already pays for
-    state snapshots and scrambled Phi-partners.
+    period. Their cost is not negligible. On the microcode scenarios at
+    the default period of 500, the benchmark's traced ledger reads a
+    watched run 11-22% slower than a bare one ([monitor.overhead_frac]
+    0.11-0.22 over six runs, 2-vCPU VM). A federation shard is watched
+    every 64 steps and has nine colours, so there a deep check costs
+    ~21-25 us and deep checks take about a fifth of a monitored service
+    step (~1.1 of ~5.4 us, against ~4.3 us unwatched). Fault campaigns and the fuzzer
+    use [feed] with per-step attribution instead, where the caller
+    already pays for state snapshots and scrambled Phi-partners.
+
+    A post-[INPUT] state [equal_state] to the state fed is not
+    abstracted again: its views are the state's own, which
+    {!System.t} requires of [Phi^c]. On a federation shard, whose
+    alphabet is the empty input alone, that is nearly every deep
+    check.
 
     On the first violation the monitor flushes the {!Sep_obs.Trace}
     flight recorder, so the causal events leading up to the violating

@@ -1427,8 +1427,44 @@ let run t ~steps ~inputs =
 
 (* -- Abstraction ----------------------------------------------------------- *)
 
+(* [c]'s regime index, read off the layout rather than the configuration's
+   regime list: the checker abstracts every state for every colour. *)
+let regime_of t c =
+  let colours = t.layout.colours in
+  let rec find i =
+    if i >= Array.length colours then raise Not_found
+    else if colours.(i) == c || Colour.equal colours.(i) c then i
+    else find (i + 1)
+  in
+  find 0
+
+let chan_end t ci area =
+  {
+    Abstract_regime.ce_chan = ci.ci_id;
+    ce_capacity = ci.ci_capacity;
+    ce_contents = ring_contents t area ci.ci_capacity;
+  }
+
+(* Regime [r]'s send ends and receive ends, each in channel order, built
+   from channel [i] down: a send end reads the ring SEND fills, a receive
+   end the ring the intended design has RECV drain. *)
+let rec send_ends t r i acc =
+  if i < 0 then Array.of_list acc
+  else begin
+    let ci = t.layout.chans.(i) in
+    send_ends t r (i - 1) (if ci.ci_sender = r then chan_end t ci ci.ci_area_a :: acc else acc)
+  end
+
+let rec recv_ends t r i acc =
+  if i < 0 then Array.of_list acc
+  else begin
+    let ci = t.layout.chans.(i) in
+    recv_ends t r (i - 1)
+      (if ci.ci_receiver = r then chan_end t ci (intended_recv_area ci) :: acc else acc)
+  end
+
 let phi t c =
-  let r = Config.regime_index t.cfg c in
+  let r = regime_of t c in
   let mem = Machine.read_phys_slice t.m t.layout.part_base.(r) t.layout.part_size.(r) in
   let live = current_index t = r && Machine.mode t.m = Machine.User in
   let regs, flag_z, flag_n =
@@ -1441,40 +1477,23 @@ let phi t c =
     end
   in
   let view d =
-    let data, status = Machine.device_regs t.m d in
     {
       Abstract_regime.dv_kind = t.layout.dev_kinds.(d);
-      dv_data = data;
-      dv_status = status;
+      dv_data = Machine.device_data t.m d;
+      dv_status = Machine.device_status t.m d;
       dv_irq = Machine.irq_pending t.m d;
     }
   in
-  let devices = Array.map view t.layout.dev_slots.(r) in
-  (* r's ends, in channel order: [owner] picks the endpoint, [area] the
-     ring that end reads *)
-  let ends owner area =
-    Array.of_list
-      (Array.fold_right
-         (fun ci acc ->
-           if owner ci = r then
-             {
-               Abstract_regime.ce_chan = ci.ci_id;
-               ce_capacity = ci.ci_capacity;
-               ce_contents = ring_contents t (area ci) ci.ci_capacity;
-             }
-             :: acc
-           else acc)
-         t.layout.chans [])
-  in
+  let last = Array.length t.layout.chans - 1 in
   {
     Abstract_regime.mem;
     regs;
     flag_z;
     flag_n;
     status = status_of_code (get_status t r);
-    devices;
-    sends = ends (fun ci -> ci.ci_sender) (fun ci -> ci.ci_area_a);
-    recvs = ends (fun ci -> ci.ci_receiver) intended_recv_area;
+    devices = Array.map view t.layout.dev_slots.(r);
+    sends = send_ends t r last [];
+    recvs = recv_ends t r last [];
   }
 
 (* -- Operation naming ------------------------------------------------------ *)

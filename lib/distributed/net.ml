@@ -160,7 +160,13 @@ let build ?link topo =
       Array.of_list (List.map (fun w -> Fifo.create ~capacity:w.Topology.capacity) topo.Topology.wires);
     rel = Array.of_list (List.map rel_of topo.Topology.wires);
     link;
-    rng = Option.map (fun lm -> Prng.create lm.lm_seed) link;
+    (* [roll] is the generator's only reader, and a zero rate never fires:
+       a line whose rates are all zero needs no draws *)
+    rng =
+      (match link with
+      | Some lm when lm.lm_drop > 0 || lm.lm_dup > 0 || lm.lm_reorder > 0 ->
+        Some (Prng.create lm.lm_seed)
+      | Some _ | None -> None);
     up = Array.make nwires true;
     ready = Array.make nwires false;
     dropped = 0;
@@ -212,13 +218,20 @@ let place_data t id rw fr =
    arriving ack (cumulative — it retires every frame up to it and resets
    the backoff), run the retransmission timer (expiry resends the whole
    window, go-back-N style, and doubles the timeout up to the ceiling),
-   then move pending frames into free window slots. *)
+   then move pending frames into free window slots. A wire with no ack in
+   transit, an empty window and nothing pending has nothing to do. Returns
+   the frames left in the sender windows. *)
 let rel_maintenance t =
-  Array.iteri
-    (fun id rwo ->
-      match rwo with
-      | None -> ()
-      | Some rw ->
+  let depth = ref 0 in
+  for id = 0 to Array.length t.rel - 1 do
+    match t.rel.(id) with
+    | None -> ()
+    | Some rw ->
+      if
+        not
+          (Queue.is_empty rw.r_acks && Queue.is_empty rw.r_unacked
+         && Queue.is_empty rw.r_pending)
+      then begin
         if not (Queue.is_empty rw.r_acks) then begin
           let a = Queue.pop rw.r_acks in
           (* the window is in sequence order, so the retired frames are
@@ -254,33 +267,33 @@ let rel_maintenance t =
           end;
           Queue.add f rw.r_unacked;
           place_data t id rw f
-        done)
-    t.rel
+        done;
+        depth := !depth + Queue.length rw.r_unacked
+      end
+  done;
+  !depth
 
 (* Receivers' due acks go onto the reverse lines at the end of the step.
    The ack line is as lossy as the data line; a lost ack is recovered by
    the retransmission it fails to suppress, which the receiver re-acks. *)
 let rel_flush_acks t =
-  Array.iteri
-    (fun id rwo ->
-      match rwo with
-      | None -> ()
-      | Some rw ->
-        if rw.r_ack_due then begin
-          rw.r_ack_due <- false;
-          t.acks_sent <- t.acks_sent + 1;
-          if not t.up.(id) then
-            (* the reverse direction of a severed cable carries nothing
-               either; the retransmission the lost ack fails to suppress
-               recovers it after the heal *)
-            t.partition_dropped <- t.partition_dropped + 1
-          else begin
-            let lost = match t.link with Some lm -> roll t lm.lm_drop | None -> false in
-            if lost then t.lossy_dropped <- t.lossy_dropped + 1
-            else Queue.add (rw.r_expect - 1) rw.r_acks
-          end
-        end)
-    t.rel
+  for id = 0 to Array.length t.rel - 1 do
+    match t.rel.(id) with
+    | Some rw when rw.r_ack_due ->
+      rw.r_ack_due <- false;
+      t.acks_sent <- t.acks_sent + 1;
+      if not t.up.(id) then
+        (* the reverse direction of a severed cable carries nothing
+           either; the retransmission the lost ack fails to suppress
+           recovers it after the heal *)
+        t.partition_dropped <- t.partition_dropped + 1
+      else begin
+        let lost = match t.link with Some lm -> roll t lm.lm_drop | None -> false in
+        if lost then t.lossy_dropped <- t.lossy_dropped + 1
+        else Queue.add (rw.r_expect - 1) rw.r_acks
+      end
+    | Some _ | None -> ()
+  done
 
 let transmit t node actions =
   let handle = function
@@ -318,29 +331,23 @@ let feed t node ev =
   node.log <- Component.Saw ev :: node.log;
   transmit t node (Component.feed node.inst ev)
 
-let retransmit_queue_depth t =
-  Array.fold_left
-    (fun acc rwo -> match rwo with Some rw -> acc + Queue.length rw.r_unacked | None -> acc)
-    0 t.rel
-
 let step t ~externals =
   t.now <- t.now + 1;
-  rel_maintenance t;
-  let rq = float_of_int (retransmit_queue_depth t) in
+  let rq = float_of_int (rel_maintenance t) in
   Sep_obs.Telemetry.set t.rq rq;
   Sep_obs.Telemetry.set t.rq_global rq;
   (* Only messages already in flight are deliverable this step. *)
-  Array.iteri
-    (fun id line ->
-      t.ready.(id) <-
-        (match t.rel.(id) with
-        | Some rw -> not (line_is_empty rw.r_data)
-        | None -> not (Fifo.is_empty line)))
-    t.lines;
+  for id = 0 to Array.length t.lines - 1 do
+    t.ready.(id) <-
+      (match t.rel.(id) with
+      | Some rw -> not (line_is_empty rw.r_data)
+      | None -> not (Fifo.is_empty t.lines.(id)))
+  done;
   let visit node =
     List.iter
       (fun (c, msg) ->
-        if Colour.equal c node.colour then feed t node (Component.External msg))
+        if c == node.colour || Colour.equal c node.colour then
+          feed t node (Component.External msg))
       externals;
     let from_wire w =
       let id = w.Topology.wire_id in

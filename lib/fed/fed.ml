@@ -181,12 +181,30 @@ let split_wire m =
     | Some w when w >= 0 -> Some (w, String.sub m (i + 1) (String.length m - i - 1))
     | _ -> None)
 
-let router name =
+(* A heartbeat is one string, sent every period, and a string never
+   changes: the router keeps its last NIC command and each wire's last
+   delivery with the actions they made, and answers the same string,
+   compared physically, with the same actions. *)
+let router name ~wires =
+  let sent = ref None and delivered = Array.make wires None in
   Component.stateless ~name (fun ev ->
       match ev with
       | Component.External m -> (
-        match split_wire m with Some (w, p) -> [ Component.Send (w, p) ] | None -> [])
-      | Component.Recv (w, m) -> [ Component.Output (on_wire w m) ])
+        match !sent with
+        | Some (m', acts) when m' == m -> acts
+        | Some _ | None ->
+          let acts =
+            match split_wire m with Some (w, p) -> [ Component.Send (w, p) ] | None -> []
+          in
+          sent := Some (m, acts);
+          acts)
+      | Component.Recv (w, m) -> (
+        match delivered.(w) with
+        | Some (m', acts) when m' == m -> acts
+        | Some _ | None ->
+          let acts = [ Component.Output (on_wire w m) ] in
+          delivered.(w) <- Some (m, acts);
+          acts))
 
 (* -- Per-shard configurations ----------------------------------------------- *)
 
@@ -223,11 +241,16 @@ type shard_state =
   | Quarantined
   | Abandoned
 
+(* A channel's rings never move, so a route reads their addresses once,
+   at build. *)
 type route = {
   rt_chan : int;
   rt_src : int;
   rt_dst : int;
   rt_wire : int;
+  rt_send_area : int;  (* the ring SEND fills, drained by the source NIC *)
+  rt_recv_area : int;  (* the ring RECV drains, fed by the destination NIC *)
+  rt_cap : int;
 }
 
 type t = {
@@ -240,6 +263,7 @@ type t = {
   watches : Monitor.swatch option array;
   net : Net.t;
   routes : route array; (* inter-shard channels only *)
+  routes_from : route array array; (* shard -> the routes it sources, in route order *)
   hb_external : (Colour.t * string) array; (* shard -> its heartbeat NIC command *)
   node_colour : Colour.t array;
   ctrl_colour : Colour.t;
@@ -269,6 +293,8 @@ type t = {
   mutable retired_watches : (int * Monitor.swatch) list;
       (* watches that died with their node at a failover; kept so their
          deep-check counts and any pre-crash violation still surface *)
+  parsed : (string * payload option) option array; (* recent arrivals, see [parse_arrival] *)
+  mutable parsed_next : int;
 }
 
 let global_devices cfg =
@@ -293,18 +319,6 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     invalid_arg "Fed.build: heartbeat timeout must cover the period";
   let nshards = nshards_of spec in
   let inter = inter_channels spec in
-  let routes =
-    Array.of_list
-      (List.mapi
-         (fun i ch ->
-           {
-             rt_chan = ch.Config.chan_id;
-             rt_src = shard_of_spec spec ch.Config.sender;
-             rt_dst = shard_of_spec spec ch.Config.receiver;
-             rt_wire = i;
-           })
-         inter)
-  in
   let node_colour = Array.init nshards (fun s -> Colour.make (Printf.sprintf "NODE%d" s)) in
   let ctrl_colour = Colour.make "CTRL" in
   let data_wires =
@@ -316,12 +330,13 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
       inter
   in
   let hb_wires = Array.init nshards (fun s -> List.length inter + s) in
+  let nwires = List.length inter + nshards in
   let topo =
     Topology.make
       ~parts:
         (List.init nshards (fun s ->
-             (node_colour.(s), router (Printf.sprintf "node%d" s)))
-        @ [ (ctrl_colour, router "ctrl") ])
+             (node_colour.(s), router (Printf.sprintf "node%d" s) ~wires:nwires))
+        @ [ (ctrl_colour, router "ctrl" ~wires:nwires) ])
       ~wires:(data_wires @ List.init nshards (fun s -> (node_colour.(s), ctrl_colour, 4)))
   in
   (* Zero fault rates but a link model nonetheless: every line runs the
@@ -329,6 +344,27 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
      the sender's pending queue is the federation's retransmission buffer. *)
   let net = Net.build ~link:{ Net.lm_seed = 42; lm_drop = 0; lm_dup = 0; lm_reorder = 0 } topo in
   let kernels = Array.init nshards (fun s -> Sue.build (shard_config spec s)) in
+  let routes =
+    Array.of_list
+      (List.mapi
+         (fun i ch ->
+           let src = shard_of_spec spec ch.Config.sender in
+           let dst = shard_of_spec spec ch.Config.receiver in
+           (* channel ids are positions (Config.validate), so every
+              channel has its areas *)
+           let area k = Option.get (Sue.channel_area kernels.(k) ch.Config.chan_id) in
+           let send_area, _, cap = area src and _, recv_area, _ = area dst in
+           {
+             rt_chan = ch.Config.chan_id;
+             rt_src = src;
+             rt_dst = dst;
+             rt_wire = i;
+             rt_send_area = send_area;
+             rt_recv_area = recv_area;
+             rt_cap = cap;
+           })
+         inter)
+  in
   let recovers = Array.map (fun k -> Recover.create ~policy:policy.fp_regime k) kernels in
   let devices = Array.of_list (global_devices spec.fs_cfg) in
   let ndev = Array.length devices in
@@ -350,12 +386,15 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     spec;
     policy;
     nshards;
-    nwires = Array.length routes + nshards;
+    nwires;
     kernels;
     recovers;
     watches;
     net;
     routes;
+    routes_from =
+      Array.init nshards (fun s ->
+          Array.of_list (List.filter (fun rt -> rt.rt_src = s) (Array.to_list routes)));
     hb_external =
       Array.init nshards (fun s ->
           (node_colour.(s), on_wire hb_wires.(s) (hb_msg s)));
@@ -387,6 +426,8 @@ let build ?(policy = default_policy) ?plan ?(monitor = false) spec =
     stuck = [];
     dup_after = [];
     retired_watches = [];
+    parsed = Array.make nwires None;
+    parsed_next = 0;
   }
 
 let kernel t ~shard = t.kernels.(shard)
@@ -466,20 +507,17 @@ let apply_fault t n (f : Fault_plan.fault) =
    buffer SEND fills and nothing in-kernel ever empties — exactly as a
    channel-to-wire bridge would, leaving the ring in the state [capacity]
    successive RECVs would have left it. *)
-let drain_send_ring t s chan =
-  let k = t.kernels.(s) in
-  match Sue.channel_area k chan with
-  | None -> []
-  | Some (area_a, _, cap) ->
-    let m = Sue.machine k in
-    let head = Machine.read_phys m area_a and count = Machine.read_phys m (area_a + 1) in
-    if count = 0 then []
-    else begin
-      let words = List.init count (fun i -> Machine.read_phys m (area_a + 2 + ((head + i) mod cap))) in
-      Machine.write_phys m area_a ((head + count) mod cap);
-      Machine.write_phys m (area_a + 1) 0;
-      words
-    end
+let drain_send_ring t rt =
+  let m = Sue.machine t.kernels.(rt.rt_src) in
+  let area = rt.rt_send_area and cap = rt.rt_cap in
+  let head = Machine.read_phys m area and count = Machine.read_phys m (area + 1) in
+  if count = 0 then []
+  else begin
+    let words = List.init count (fun i -> Machine.read_phys m (area + 2 + ((head + i) mod cap))) in
+    Machine.write_phys m area ((head + count) mod cap);
+    Machine.write_phys m (area + 1) 0;
+    words
+  end
 
 (* The destination NIC feeds the receive end — the "never-fed second
    buffer" of the wire-cutting argument, fed here by the wire itself.
@@ -487,22 +525,19 @@ let drain_send_ring t s chan =
    NIC accepts nothing (the words wait, the link layer has already
    acknowledged them, exactly-once delivery is the pending queue's job). *)
 let inject t rt =
-  if t.powered.(rt.rt_dst) then begin
-    let k = t.kernels.(rt.rt_dst) in
-    match Sue.channel_area k rt.rt_chan with
-    | None -> ()
-    | Some (_, area_b, cap) ->
-      let m = Sue.machine k in
-      let q = t.pending_in.(rt.rt_chan) in
-      let blocked = ref false in
-      while (not !blocked) && not (Queue.is_empty q) do
-        let head = Machine.read_phys m area_b and count = Machine.read_phys m (area_b + 1) in
-        if count >= cap then blocked := true
-        else begin
-          Machine.write_phys m (area_b + 2 + ((head + count) mod cap)) (Queue.pop q);
-          Machine.write_phys m (area_b + 1) (count + 1)
-        end
-      done
+  let q = t.pending_in.(rt.rt_chan) in
+  if (not (Queue.is_empty q)) && t.powered.(rt.rt_dst) then begin
+    let m = Sue.machine t.kernels.(rt.rt_dst) in
+    let area = rt.rt_recv_area and cap = rt.rt_cap in
+    let blocked = ref false in
+    while (not !blocked) && not (Queue.is_empty q) do
+      let head = Machine.read_phys m area and count = Machine.read_phys m (area + 1) in
+      if count >= cap then blocked := true
+      else begin
+        Machine.write_phys m (area + 2 + ((head + count) mod cap)) (Queue.pop q);
+        Machine.write_phys m (area + 1) (count + 1)
+      end
+    done
   end
 
 (* -- Net output collection -------------------------------------------------- *)
@@ -510,11 +545,26 @@ let inject t rt =
 (* Every step hands each box's log over once and keeps only the frames
    its router re-emitted: the net retains nothing between steps, so a
    step's collection costs the frames that arrived in it. *)
+(* A router hands a repeated heartbeat back as the same string, so the
+   last few arrivals are kept with their parse and matched physically:
+   each shard's heartbeat is parsed once, not every period. *)
+let parse_arrival t m =
+  let rec find i =
+    if i = Array.length t.parsed then begin
+      let p = Option.map (fun (_, p) -> parse_payload p) (split_wire m) in
+      t.parsed.(t.parsed_next) <- Some (m, p);
+      t.parsed_next <- (t.parsed_next + 1) mod Array.length t.parsed;
+      p
+    end
+    else
+      match t.parsed.(i) with Some (m', p) when m' == m -> p | Some _ | None -> find (i + 1)
+  in
+  find 0
+
 let collect t colour f =
   List.iter
     (function
-      | Component.Did (Component.Output m) ->
-        f (Option.map (fun (_, p) -> parse_payload p) (split_wire m))
+      | Component.Did (Component.Output m) -> f (parse_arrival t m)
       | Component.Saw _ | Component.Did (Component.Send _) -> ())
     (Net.hand_over t.net colour)
 
@@ -640,14 +690,12 @@ let step t =
          one checksum covers them all (see Frames). *)
       Array.iter
         (fun rt ->
-          if rt.rt_src = s then
-            match List.rev (drain_send_ring t s rt.rt_chan) with
-            | [] -> ()
-            | words ->
-              externals :=
-                (t.node_colour.(s), on_wire rt.rt_wire (batch_msg rt.rt_chan words))
-                :: !externals)
-        t.routes;
+          match List.rev (drain_send_ring t rt) with
+          | [] -> ()
+          | words ->
+            externals :=
+              (t.node_colour.(s), on_wire rt.rt_wire (batch_msg rt.rt_chan words)) :: !externals)
+        t.routes_from.(s);
       if n mod t.policy.fp_hb_period = 0 then externals := t.hb_external.(s) :: !externals
     end
   done;

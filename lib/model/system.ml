@@ -64,15 +64,21 @@ let explore ?(limit = 200_000) sys =
   in
   List.iter (fun s -> ignore (visit s)) sys.initial;
   let inputs = Array.of_list sys.inputs in
+  (* States leave the queue in index order, so [k] is [s]'s own index. *)
+  let popped = ref 0 in
   while not (Queue.is_empty queue) do
     let s = Queue.pop queue in
+    let k = !popped in
+    incr popped;
     let explore i =
       (* The post-INPUT state is visited too: NEXTOP is applied there, so
          the separability conditions must be checked in it. Equal states
          are one state, so NEXTOP is applied once per post-INPUT state;
-         on a repeat its successor is already visited. *)
+         on a repeat its successor is already visited. An input that
+         leaves [s] as it was, as about half of them do, lands on [s]'s
+         own class, so that state needs no hash and no lookup. *)
       let mid = sys.input s i in
-      let m = visit mid in
+      let m = if sys.equal_state mid s then k else visit mid in
       if !after_op.(m) < 0 then begin
         let next = visit ((sys.nextop mid).op_apply mid) in
         !after_op.(m) <- next

@@ -52,6 +52,11 @@ type ('s, 'i, 'o, 'a, 'p) t = {
           [false] everywhere, demanding strict invisibility; Proof of
           Separability proper applies to those. *)
   equal_state : 's -> 's -> bool;
+      (** Must be an equivalence that [hash_state] respects, and [abstract]
+          must respect it too: [Phi^c] of two [equal_state] states are
+          [equal_abstate] for every colour [c]. The exhaustive checker
+          computes [Phi^c] once per class, and the monitor takes
+          [Phi^c(s)] as the view of a post-[INPUT] state equal to [s]. *)
   hash_state : 's -> int;
   equal_abstate : 'a -> 'a -> bool;
       (** Must be an equivalence, and [hash_abstate], [pp_abstate] and

@@ -402,7 +402,29 @@ type t = {
 let worker_rx_dev t i j = (t.n * 2 * t.m) + (2 * (((i * t.m) + j)))
 let client_rx_dev t i j = (i * 2 * t.m) + j
 
+(* The ranges svc.mli documents. Outside them a step divides by zero or
+   draws from an empty range, or a client has no patience or budget at
+   all. *)
+let check_tuning tn =
+  let need ok field range =
+    if not ok then invalid_arg (Printf.sprintf "Svc.build: tuning %s must be %s" field range)
+  in
+  need (tn.tn_deadline >= 1) "tn_deadline" ">= 1";
+  need (tn.tn_max_attempts >= 1) "tn_max_attempts" ">= 1";
+  need (tn.tn_backoff >= 0) "tn_backoff" ">= 0";
+  need (tn.tn_backoff_cap >= 0) "tn_backoff_cap" ">= 0";
+  need (tn.tn_jitter >= 0) "tn_jitter" ">= 0";
+  need (tn.tn_think_min >= 0) "tn_think_min" ">= 0";
+  need
+    (tn.tn_think_max >= tn.tn_think_min && tn.tn_think_max < max_int)
+    "tn_think_max" "in tn_think_min .. max_int - 1";
+  need (tn.tn_service_interval >= 1) "tn_service_interval" ">= 1";
+  need (tn.tn_shed_threshold >= 1) "tn_shed_threshold" ">= 1";
+  need (tn.tn_breaker_threshold >= 1) "tn_breaker_threshold" ">= 1";
+  need (tn.tn_breaker_cooldown >= 0) "tn_breaker_cooldown" ">= 0"
+
 let build ?policy ?plan ?(monitor = false) ?(tuning = default_tuning) ~seed dep =
+  check_tuning tuning;
   let spec = spec_of dep in
   let fedn = Fed.build ?policy ?plan ~monitor spec in
   let n = dep.dp_clients and m = dep.dp_replicas in

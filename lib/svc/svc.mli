@@ -95,18 +95,20 @@ val spec_of : deployment -> Fed.spec
 (** {1 Tuning} *)
 
 type tuning = {
-  tn_deadline : int;  (** steps before an attempt times out *)
-  tn_max_attempts : int;
-  tn_backoff : int;  (** base backoff, doubled per attempt *)
-  tn_backoff_cap : int;
-  tn_jitter : int;  (** jitter drawn uniformly below this, per retry *)
-  tn_think_min : int;  (** client think time between requests... *)
-  tn_think_max : int;  (** ...drawn uniformly in this range (0 = burst) *)
-  tn_service_interval : int;  (** a replica serves one request per this many steps *)
-  tn_shed_threshold : int;  (** inbox length at which new arrivals shed *)
-  tn_breaker_threshold : int;  (** consecutive failures that open the breaker *)
-  tn_breaker_cooldown : int;  (** steps the breaker stays open *)
+  tn_deadline : int;  (** steps before an attempt times out; [>= 1] *)
+  tn_max_attempts : int;  (** [>= 1] *)
+  tn_backoff : int;  (** base backoff, doubled per attempt; [>= 0] *)
+  tn_backoff_cap : int;  (** [>= 0] *)
+  tn_jitter : int;  (** jitter drawn uniformly below this, per retry; [>= 0], [0] as [1] *)
+  tn_think_min : int;  (** client think time between requests...; [>= 0] *)
+  tn_think_max : int;
+      (** ...drawn uniformly in this range (0 = burst); [tn_think_min <= tn_think_max < max_int] *)
+  tn_service_interval : int;  (** a replica serves one request per this many steps; [>= 1] *)
+  tn_shed_threshold : int;  (** inbox length at which new arrivals shed; [>= 1] *)
+  tn_breaker_threshold : int;  (** consecutive failures that open the breaker; [>= 1] *)
+  tn_breaker_cooldown : int;  (** steps the breaker stays open; [>= 0] *)
 }
+(** {!build} rejects a tuning with a field outside its range. *)
 
 val default_tuning : tuning
 (** Patience sized so a request outlives both the loaded round trip
@@ -181,9 +183,11 @@ val build :
   deployment ->
   t
 (** Assemble the federation for {!spec_of} and the service state around
-    it. All randomness (workload draws, think times, retry jitter) comes
-    from per-client {!Sep_util.Prng.stream} substreams of [seed], so a
-    run is deterministic and independent of any [-j] above it. *)
+    it. Raises [Invalid_argument] naming the field when a {!tuning}
+    field is outside its range. All randomness (workload draws, think
+    times, retry jitter) comes from per-client {!Sep_util.Prng.stream}
+    substreams of [seed], so a run is deterministic and independent of
+    any [-j] above it. *)
 
 val fed : t -> Fed.t
 val telemetry : t -> Telemetry.t

@@ -354,6 +354,72 @@ let test_watch_leaves_kernel_alone () =
   Alcotest.(check bool) "the same restored state" true (Sue.equal live twin);
   same "after the warm reboot"
 
+(* -- a federation shard ------------------------------------------------------- *)
+
+(* The check a federation shard's watch makes: nine colours, six of them
+   inert, channels connected under the sanctioned reading of condition
+   2, and the one-input alphabet [[]], so that INPUT nearly always leaves
+   the state as it was. Every shard of every service deployment is
+   snapshotted every 64 steps of a 2,000-step run at seed 42, and the
+   snapshots are fed to a monitor. Its report must be the offline
+   checker's on the same states, must match a pin, and must not move
+   when the monitor cannot tell that INPUT changed nothing (every state
+   unequal to every other). Update a pin only for an intended change to
+   what the monitor checks or reports. *)
+let shard_reports (dep : Sep_svc.Svc.deployment) =
+  let module Svc = Sep_svc.Svc in
+  let module Fed = Sep_fed.Fed in
+  let module System = Sep_model.System in
+  let svc = Svc.build ~seed:42 dep in
+  let fed = Svc.fed svc in
+  let shards = Fed.shards fed in
+  let snaps = Array.make shards [] in
+  for n = 0 to 2000 do
+    if n mod 64 = 0 then
+      for s = 0 to shards - 1 do
+        snaps.(s) <- Sue.detached_copies (Fed.kernel fed ~shard:s) () :: snaps.(s)
+      done;
+    if n < 2000 then Svc.step svc
+  done;
+  List.init shards (fun s ->
+      let states = List.rev snaps.(s) in
+      let sys = Sue.system_of_kernel ~sanction_channels:true ~inputs:[ [] ] (List.hd states) in
+      let online sys =
+        let m = Monitor.create sys in
+        List.iter (fun st -> ignore (Monitor.feed m st)) states;
+        Json.to_string (Separability.report_to_json (Monitor.report m))
+      in
+      let label = Fmt.str "%s/%d" dep.Svc.dp_name s in
+      let report = online sys in
+      check Alcotest.string (label ^ ": offline agrees")
+        (Json.to_string (Separability.report_to_json (Separability.check_states sys states)))
+        report;
+      check Alcotest.string (label ^ ": INPUT never seen to change nothing")
+        (online { sys with System.equal_state = (fun _ _ -> false) })
+        report;
+      (label, Digest.to_hex (Digest.string report)))
+
+let test_shard_reports_pinned () =
+  let pins =
+    [
+      ("fed-fs/0", "5f2cec6318deff112494b661e607de78");
+      ("fed-fs/1", "da5c0fd6177258ec1fb11b9c6ef278cc");
+      ("fed-fs/2", "a3f77ed8d9c692d3fb1627363996b8a0");
+      ("fed-print/0", "5f2cec6318deff112494b661e607de78");
+      ("fed-print/1", "a5872c39ed988330363b8dcf461161bb");
+      ("fed-print/2", "a3f77ed8d9c692d3fb1627363996b8a0");
+      ("fed-auth/0", "5f2cec6318deff112494b661e607de78");
+      ("fed-auth/1", "da5c0fd6177258ec1fb11b9c6ef278cc");
+      ("fed-auth/2", "a3f77ed8d9c692d3fb1627363996b8a0");
+      ("fed-guard/0", "9dee368c387c5723122ecfca9d3390e8");
+      ("fed-guard/1", "6bafdfcc9f043f466cb6635f716f3439");
+      ("fed-guard/2", "a3f77ed8d9c692d3fb1627363996b8a0");
+    ] in
+  check
+    Alcotest.(list (pair string string))
+    "shard report digests" pins
+    (List.concat_map shard_reports Sep_apps.Fed_services.all)
+
 (* -- the campaign hook ------------------------------------------------------- *)
 
 let test_campaign_monitored_case () =
@@ -390,6 +456,7 @@ let () =
           Alcotest.test_case "realized-state bugs flagged" `Quick test_watch_detects_bugs;
           Alcotest.test_case "reports pinned" `Quick test_watch_reports_pinned;
           Alcotest.test_case "deep checks leave the kernel alone" `Quick test_watch_leaves_kernel_alone;
+          Alcotest.test_case "federation shards pinned" `Quick test_shard_reports_pinned;
         ] );
       ( "campaign",
         [ Alcotest.test_case "monitored case" `Quick test_campaign_monitored_case ] );

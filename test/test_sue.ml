@@ -597,6 +597,112 @@ let test_scenarios_wellformed () =
         inst.Sep_core.Scenarios.alphabet)
     Sep_core.Scenarios.all
 
+(* [AR.equal] compares field by field. It must agree with the structural
+   equality it replaced: on pairs of Phi images of reachable states (both
+   kernels, and snfe-micro's crypto is an Xform device), on a view and
+   each single-field mutation of it, Xform keys included, in both
+   orders, and on a view and itself. *)
+let structural_equal (a : AR.t) (b : AR.t) =
+  a.AR.mem = b.AR.mem && a.AR.regs = b.AR.regs && a.AR.flag_z = b.AR.flag_z
+  && a.AR.flag_n = b.AR.flag_n && a.AR.status = b.AR.status && a.AR.devices = b.AR.devices
+  && a.AR.sends = b.AR.sends && a.AR.recvs = b.AR.recvs
+
+let view_mutations (a : AR.t) =
+  let set arr i v =
+    let c = Array.copy arr in
+    c.(i) <- v;
+    c
+  in
+  let words arr =
+    List.init (Array.length arr) (fun i -> set arr i ((arr.(i) + 1) land 0xffff))
+    @ [ Array.append arr [| 0 |]; Array.sub arr 0 (max 0 (Array.length arr - 1)) ]
+  in
+  let kinds =
+    Machine.
+      [
+        Rx; Tx; Xform Identity; Xform (Xor_key 0x2a); Xform (Xor_key 0x2b); Xform (Add_key 0x2a);
+      ]
+  in
+  (* the same kind, freshly allocated: equal, but not physically *)
+  let same_kind = function
+    | Machine.Xform (Machine.Xor_key k) -> Machine.Xform (Machine.Xor_key (k + 0))
+    | Machine.Xform (Machine.Add_key k) -> Machine.Xform (Machine.Add_key (k + 0))
+    | k -> k
+  in
+  let device_changes (d : AR.device_view) =
+    List.map (fun k -> { d with AR.dv_kind = k }) (same_kind d.AR.dv_kind :: kinds)
+    @ [
+        { d with AR.dv_data = d.AR.dv_data + 1 };
+        { d with AR.dv_status = d.AR.dv_status + 1 };
+        { d with AR.dv_irq = not d.AR.dv_irq };
+      ]
+  in
+  let end_changes (e : AR.chan_end) =
+    [
+      { e with AR.ce_chan = e.AR.ce_chan + 1 };
+      { e with AR.ce_capacity = e.AR.ce_capacity + 1 };
+      { e with AR.ce_contents = e.AR.ce_contents @ [ 7 ] };
+      { e with AR.ce_contents = List.map (fun w -> w + 1) e.AR.ce_contents };
+      { e with AR.ce_contents = (match e.AR.ce_contents with [] -> [] | _ :: rest -> rest) };
+      { e with AR.ce_contents = List.map (fun w -> w + 0) e.AR.ce_contents };
+    ]
+  in
+  let each arr changes =
+    List.concat
+      (List.init (Array.length arr) (fun i -> List.map (set arr i) (changes arr.(i))))
+    @ [ Array.sub arr 0 (max 0 (Array.length arr - 1)); Array.copy arr ]
+  in
+  List.map (fun mem -> { a with AR.mem }) (words a.AR.mem)
+  @ List.map (fun regs -> { a with AR.regs }) (words a.AR.regs)
+  @ [ { a with AR.flag_z = not a.AR.flag_z }; { a with AR.flag_n = not a.AR.flag_n } ]
+  @ List.map (fun status -> { a with AR.status }) [ AR.Running; AR.Waiting; AR.Parked ]
+  @ List.map (fun devices -> { a with AR.devices }) (each a.AR.devices device_changes)
+  @ List.map (fun sends -> { a with AR.sends }) (each a.AR.sends end_changes)
+  @ List.map (fun recvs -> { a with AR.recvs }) (each a.AR.recvs end_changes)
+  @ [ { a with AR.mem = Array.copy a.AR.mem } ]
+
+let test_abstract_equal_structural () =
+  let module System = Sep_model.System in
+  let agree label a b =
+    if AR.equal a b <> structural_equal a b then
+      Alcotest.failf "%s: AR.equal says %b, structural equality %b on@ %a@ and@ %a" label
+        (AR.equal a b) (structural_equal a b) AR.pp a AR.pp b
+  in
+  let mutated = ref 0 and unequal = ref 0 in
+  List.iter
+    (fun (impl, (inst : Sep_core.Scenarios.instance)) ->
+      let label = Fmt.str "%s (%a)" inst.label Sue.pp_impl impl in
+      let sys = Sue.to_system ~impl ~inputs:inst.alphabet inst.cfg in
+      let states = Array.of_list (System.reachable sys) in
+      List.iter
+        (fun c ->
+          let images = Array.map (sys.System.abstract c) states in
+          Array.iteri
+            (fun k a ->
+              agree label a a;
+              agree label a (sys.System.abstract c states.(k));
+              if k > 0 then begin
+                agree label images.(k - 1) a;
+                if not (AR.equal images.(k - 1) a) then incr unequal
+              end;
+              if k mod 97 = 0 then
+                List.iter
+                  (fun m ->
+                    incr mutated;
+                    agree label a m;
+                    agree label m a)
+                  (view_mutations a))
+            images)
+        sys.System.colours)
+    [
+      (Sue.Microcode, Sep_core.Scenarios.pipeline);
+      (Sue.Assembly, Sep_core.Scenarios.pipeline);
+      (Sue.Microcode, Sep_core.Scenarios.snfe_micro);
+      (Sue.Microcode, Sep_core.Scenarios.interrupt);
+    ];
+  Alcotest.(check bool) "mutations tried" true (!mutated > 1000);
+  Alcotest.(check bool) "unequal neighbours seen" true (!unequal > 100)
+
 let test_copy_equal_hash () =
   let t = Sue.build pipeline.Sep_core.Scenarios.cfg in
   let t2 = Sue.copy t in
@@ -866,6 +972,7 @@ let () =
           Alcotest.test_case "device slot" `Quick test_device_slot;
           Alcotest.test_case "scenarios wellformed" `Quick test_scenarios_wellformed;
           Alcotest.test_case "copy equal hash" `Quick test_copy_equal_hash;
+          Alcotest.test_case "equal is structural" `Quick test_abstract_equal_structural;
           Alcotest.test_case "reachable hashes" `Quick test_reachable_hashes;
           Alcotest.test_case "mutant catalogue coverage" `Quick
             test_mutant_catalogue_covers_bugs_and_conditions;

@@ -310,6 +310,81 @@ let test_batch_frames () =
   check Alcotest.int "no rejects on clean batches" 0 ob.Fed.fob_frame_rejects;
   check Alcotest.bool "words crossed in batches" true (ob.Fed.fob_delivered > 5)
 
+(* -- Tuning ranges ------------------------------------------------------------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [build] rejects each field outside its range, naming the field: a
+   service interval of 0 used to divide by zero at the first step, and a
+   think range with its ends swapped drew from an empty range at the
+   first resolve. The defaults and every range's own edge still build
+   and run. *)
+let test_tuning_ranges () =
+  let dep = Fed_services.file_server in
+  let d = Svc.default_tuning in
+  List.iter
+    (fun (field, tuning) ->
+      match Svc.build ~tuning ~seed:1 dep with
+      | _ -> Alcotest.failf "%s out of range accepted" field
+      | exception Invalid_argument msg ->
+        check Alcotest.bool (Fmt.str "%S names %s" msg field) true (contains msg field))
+    [
+      ("tn_deadline", { d with Svc.tn_deadline = 0 });
+      ("tn_max_attempts", { d with Svc.tn_max_attempts = 0 });
+      ("tn_backoff", { d with Svc.tn_backoff = -1 });
+      ("tn_backoff_cap", { d with Svc.tn_backoff_cap = -1 });
+      ("tn_jitter", { d with Svc.tn_jitter = -1 });
+      ("tn_think_min", { d with Svc.tn_think_min = -1; tn_think_max = 0 });
+      ("tn_think_max", { d with Svc.tn_think_max = d.Svc.tn_think_min - 1 });
+      ("tn_think_max", { d with Svc.tn_think_min = 0; tn_think_max = max_int });
+      ("tn_service_interval", { d with Svc.tn_service_interval = 0 });
+      ("tn_shed_threshold", { d with Svc.tn_shed_threshold = 0 });
+      ("tn_breaker_threshold", { d with Svc.tn_breaker_threshold = 0 });
+      ("tn_breaker_cooldown", { d with Svc.tn_breaker_cooldown = -1 });
+    ];
+  let edge =
+    {
+      Svc.tn_deadline = 1;
+      tn_max_attempts = 1;
+      tn_backoff = 0;
+      tn_backoff_cap = 0;
+      tn_jitter = 0;
+      tn_think_min = 0;
+      tn_think_max = 0;
+      tn_service_interval = 1;
+      tn_shed_threshold = 1;
+      tn_breaker_threshold = 1;
+      tn_breaker_cooldown = 0;
+    }
+  in
+  List.iter
+    (fun tuning ->
+      let t = Svc.build ~tuning ~seed:1 dep in
+      Svc.run t ~steps:400;
+      check Alcotest.bool "contract holds" true (Svc.finish t).Svc.sr_contract.Svc.ct_ok)
+    [ d; edge ]
+
+(* -- Memory ------------------------------------------------------------------- *)
+
+(* What a finished 10,000-step monitored engine retains, mostly the
+   shard watches' bucket tables: one representative state and its views
+   per class. A view of a post-INPUT state equal to its state is the
+   state's own view, so it is kept once. *)
+let test_engine_memory () =
+  List.iter
+    (fun dep ->
+      let t = Svc.build ~monitor:true ~seed:42 dep in
+      Svc.run t ~steps:10_000;
+      ignore (Svc.finish t);
+      let words = Obj.reachable_words (Obj.repr t) in
+      check Alcotest.bool
+        (Fmt.str "%s retains %d words, at most 200,000" dep.Svc.dp_name words)
+        true (words <= 200_000))
+    Fed_services.all
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "svc"
@@ -339,5 +414,7 @@ let () =
           quick "jsonl digest pinned" test_campaign_digest;
         ] );
       ("pinned", [ quick "service runs" test_runs_pinned ]);
+      ("tuning", [ quick "ranges" test_tuning_ranges ]);
+      ("memory", [ quick "finished monitored engine" test_engine_memory ]);
       ("fed-batch", [ quick "clean batches" test_batch_frames ]);
     ]
