@@ -17,8 +17,11 @@
 #   - verify on 4 scenarios x 2 kernels x {clean, each of the 8 seeded
 #     bugs}, skipping preemptive x assembly (the assembly kernel has no
 #     preemption quantum);
-#   - mutants, monitor --smoke, and verify-random on pipeline, interrupt
-#     and snfe-micro.
+#   - mutants and monitor --smoke;
+#   - monitor on the 4 scenarios x {clean, each of the 8 seeded bugs},
+#     whose summary line shows the check count past the failure cap and
+#     the first violating step;
+#   - verify-random on pipeline, interrupt and snfe-micro.
 set -euo pipefail
 if [ "$#" -ne 1 ]; then
   echo "usage: bash bin/snapshot.sh DIR" >&2
@@ -70,6 +73,12 @@ done
 
 snap mutants mutants
 snap monitor-smoke monitor --smoke
+for scenario in pipeline interrupt preemptive snfe-micro; do
+  snap "monitor-$scenario-clean" monitor --scenario "$scenario"
+  for bug in $bugs; do
+    snap "monitor-$scenario-$bug" monitor --scenario "$scenario" --bug "$bug"
+  done
+done
 for scenario in pipeline interrupt snfe-micro; do
   snap "verify-random-$scenario" verify-random --scenario "$scenario"
 done

@@ -132,36 +132,39 @@ type exec = {
   ex_report : Separability.report;
 }
 
-let run_once ?(bugs = []) ?(impl = Sue.Microcode) ~scrambles ~settle ~seed cfg sched =
+(* Runs the schedule, then [settle] empty steps, and hands each state to
+   [emit] with the kernel step that produced it (0 for the initial state):
+   the snapshot, then its scrambled Phi-partners, colours in configuration
+   order. *)
+let run_once ?(bugs = []) ?(impl = Sue.Microcode) ~scrambles ~settle ~seed cfg sched emit =
   let rng = Prng.create seed in
   let t = Sue.build ~bugs ~impl cfg in
   let colours = Config.colours cfg in
-  let states = ref [] in
   let events = ref [] in
-  let add s =
-    states := s :: !states;
+  let add step =
+    let s = Sue.copy t in
+    emit step s;
     List.iter
       (fun c ->
         for _ = 1 to scrambles do
-          states := Sue.scramble_others rng s c :: !states
+          emit step (Sue.scramble_others rng s c)
         done)
       colours
   in
-  add (Sue.copy t);
-  List.iter
-    (fun input ->
+  add 0;
+  List.iteri
+    (fun n input ->
       events := Ktrace.step t input :: !events;
-      add (Sue.copy t))
-    sched;
-  for _ = 1 to settle do
-    events := Ktrace.step t [] :: !events;
-    add (Sue.copy t)
-  done;
-  (t, List.rev !states, List.concat (List.rev !events))
+      add (n + 1))
+    (sched @ List.init settle (fun _ -> []));
+  (t, List.concat (List.rev !events))
 
 let execute ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24) ~seed ~alphabet cfg
     sched =
-  let t, states, events = run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched in
+  let states = ref [] in
+  let t, events =
+    run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched (fun _ s -> states := s :: !states)
+  in
   let keys =
     List.map event_key events
     @ kstat_keys (Sue.kstats t)
@@ -169,7 +172,7 @@ let execute ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24)
   in
   let keys = List.sort_uniq compare keys in
   let sys = Sue.to_system ~bugs ~impl ~inputs:alphabet cfg in
-  { ex_keys = keys; ex_report = Separability.check_states sys states }
+  { ex_keys = keys; ex_report = Separability.check_states sys (List.rev !states) }
 
 let check_schedule ?bugs ?impl ?scrambles ?settle ~seed ~alphabet cfg sched =
   (execute ?bugs ?impl ?scrambles ?settle ~seed ~alphabet cfg sched).ex_report
@@ -179,39 +182,16 @@ type online = {
   on_first_violation : (int * Separability.failure) option;
 }
 
-(* The same run as {!execute}, but the states stream through the
-   incremental checker as they are produced — with the kernel step that
-   produced each one — instead of being collected for a post-hoc
-   [check_states]. The generation order (each snapshot followed by its
-   scrambled Phi-partners, colours in configuration order) matches
-   [run_once] exactly, so the report agrees with the offline one. *)
+(* The same run as {!execute}, but each state streams through the
+   monitor as it is produced, with the kernel step that produced it,
+   instead of being collected for a post-hoc [check_states]. *)
 let check_schedule_online ?(bugs = []) ?(impl = Sue.Microcode) ?(scrambles = 2) ?(settle = 24)
     ~seed ~alphabet cfg sched =
   let module Monitor = Sep_core.Monitor in
-  let rng = Prng.create seed in
-  let t = Sue.build ~bugs ~impl cfg in
-  let colours = Config.colours cfg in
   let mon = Monitor.create (Sue.to_system ~bugs ~impl ~inputs:alphabet cfg) in
-  let feed ~step s =
-    ignore (Monitor.feed ~step mon s);
-    List.iter
-      (fun c ->
-        for _ = 1 to scrambles do
-          ignore (Monitor.feed ~step mon (Sue.scramble_others rng s c))
-        done)
-      colours
-  in
-  feed ~step:0 (Sue.copy t);
-  List.iteri
-    (fun n input ->
-      ignore (Ktrace.step t input);
-      feed ~step:(n + 1) (Sue.copy t))
-    sched;
-  let base = List.length sched in
-  for k = 1 to settle do
-    ignore (Ktrace.step t []);
-    feed ~step:(base + k) (Sue.copy t)
-  done;
+  ignore
+    (run_once ~bugs ~impl ~scrambles ~settle ~seed cfg sched (fun step s ->
+         ignore (Monitor.feed ~step mon s)));
   { on_report = Monitor.report mon; on_first_violation = Monitor.first_violation mon }
 
 (* -- Mutation ----------------------------------------------------------------- *)

@@ -46,7 +46,9 @@ val check_schedule :
 (** Just the condition report of {!execute}. *)
 
 type online = {
-  on_report : Separability.report;  (** agrees with {!check_schedule} on the same run *)
+  on_report : Separability.report;
+      (** equal to {!check_schedule}'s on a clean run; on a violating one
+          the failures come in another order and both are capped *)
   on_first_violation : (int * Separability.failure) option;
       (** the kernel step whose state sample first violated, and the failure *)
 }
@@ -55,11 +57,10 @@ val check_schedule_online :
   ?bugs:Sue.bug list -> ?impl:Sue.impl -> ?scrambles:int -> ?settle:int -> seed:int ->
   alphabet:Sue.input list -> Isa.stmt list Config.t -> schedule -> online
 (** {!check_schedule} through the {!Sep_core.Monitor}: the same state
-    sample streams through the incremental checker with per-step
-    attribution, so a violating schedule is pinned to the first kernel
-    step (0 = initial state, [n] = after step [n]) whose sample exposes
-    it. The report matches the offline one on states, checks and
-    per-condition counts. *)
+    sample, from the same generator, streams through the incremental
+    checker with per-step attribution, so a violating schedule is pinned
+    to the first kernel step (0 = initial state, [n] = after step [n])
+    whose sample exposes it. *)
 
 val mutate_schedule : alphabet:Sue.input list -> max_len:int -> Sep_util.Prng.t -> schedule -> schedule
 (** One corpus mutation: append, insert, delete, replace or duplicate a

@@ -1,21 +1,22 @@
-(** Online separability monitoring: the six conditions, incrementally.
+(** Online separability monitoring: the six conditions, as states arrive.
 
-    The offline checker ({!Separability}) quantifies over a completed
-    state sample; the monitor evaluates the same six Proof of
-    Separability conditions {e as states arrive}. Feeding a state costs
-    an amount independent of how many states came before it — the
-    bucket tables keyed by each colour's abstraction give amortized O(1)
-    per state — so a violation is flagged at the step that first
-    exhibits it, not after the run.
+    The monitor is {!Separability}'s state-by-state driver
+    ({!Separability.online}): feeding a state runs the same per-state
+    steps the offline checker runs, conditions 1 and 2 against the
+    abstract operation, condition 4 across the input alphabet, and
+    conditions 3, 5 and 6 against the first state of its
+    [Phi^c]-class, so a violation is flagged at the step that first
+    exhibits it, not after the run. Feeding a state costs an amount
+    independent of how many states came before it (amortized O(1) per
+    state, by the class numbering). The monitor adds the step each state
+    is attributed to and the flight-recorder dump.
 
-    {b Agreement.} [feed]ing a state performs exactly the checks the
-    offline {!Separability.check_states} performs for it: conditions 1
-    and 2 against the abstract operation, condition 4 across the input
-    alphabet, and conditions 3, 5, 6 against the representative of its
-    Phi^c-equivalence bucket. On the same state list the monitor's
-    {!report} therefore reproduces the offline report's state, check and
-    per-condition counts, and (on clean runs) its emptiness of failures
-    — the agreement the test suite pins down.
+    On a clean state list the monitor's {!report} equals
+    {!Separability.check_states}' report on the same list. On a violating
+    one the two order the failures differently (all six conditions per
+    state here, colour by colour offline), and both cap them, so with no
+    cap they find the same failures in a different order, with the same
+    check counts — the agreement the test suite pins down.
 
     {b Streaming.} {!watch} attaches the monitor to a {e live}
     {!Sue} kernel: after every {!Sue.step} a cheap O(1) probe
@@ -31,15 +32,10 @@
     use [feed] with per-step attribution instead, where the caller
     already pays for state snapshots and scrambled Phi-partners.
 
-    A post-[INPUT] state [equal_state] to the state fed is not
-    abstracted again: its views are the state's own, which
-    {!System.t} requires of [Phi^c]. On a federation shard, whose
-    alphabet is the empty input alone, that is nearly every deep
-    check.
-
     On the first violation the monitor flushes the {!Sep_obs.Trace}
-    flight recorder, so the causal events leading up to the violating
-    step survive for post-mortem. *)
+    flight recorder, before the rest of that state's checks, so the
+    causal events leading up to the violating step survive for
+    post-mortem. *)
 
 module System = Sep_model.System
 
@@ -48,30 +44,22 @@ type ('s, 'i, 'o, 'a, 'p) t
 val create : ?max_failures:int -> ('s, 'i, 'o, 'a, 'p) System.t -> ('s, 'i, 'o, 'a, 'p) t
 (** A fresh monitor over the system's colours and input alphabet.
     [max_failures] (default 20, as offline) caps recorded failures;
-    past the cap, feeding continues but records nothing. *)
+    past the cap, feeding continues and counts checks but records (and
+    formats) nothing. *)
 
 val feed : ?step:int -> ('s, 'i, 'o, 'a, 'p) t -> 's -> Separability.failure list
-(** Check one state against everything fed so far and fold it into the
-    bucket tables. Returns the {e new} failures this state exposed
-    (empty on a clean state). [step] attributes the failures to a
-    driver-defined step index (default: the ordinal of the fed state). *)
-
-val frontier : _ t -> int
-(** Distinct abstractions tracked, summed over colours — the live
-    frontier of the view-equivalence search. Also published as the
-    gauge ["separability.frontier"] on {!Sep_obs.Span.local}. *)
+(** Check one state against everything fed so far
+    ({!Separability.check_next}). Returns the {e new} failures this state
+    exposed that were recorded (empty on a clean state). [step]
+    attributes them to a driver-defined step index (default: the ordinal
+    of the fed state). *)
 
 val first_violation : _ t -> (int * Separability.failure) option
 (** The earliest violation: the step index it was attributed to and the
     failure — [None] while the run is clean. *)
 
-val violations : _ t -> (int * Separability.failure) list
-(** All recorded violations with their step indices, in feed order. *)
-
 val report : _ t -> Separability.report
-(** The accumulated result in the offline report shape: on the same
-    state list it matches {!Separability.check_states} in states,
-    checks, per-condition check counts and failure conditions. *)
+(** The accumulated result in the offline report shape. *)
 
 (** {1 Watching a live kernel} *)
 

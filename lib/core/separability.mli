@@ -28,16 +28,28 @@
     against a representative (equality being transitive, this covers all
     pairs).
 
-    Every entry point runs one condition core over an indexed table of
-    states. Over an explored graph ({!check}) a state's post-[INPUT]
-    states and [NEXTOP] successor are states of the graph, and [Phi^c] of
-    each state is computed once per colour and shared by every check
-    that reads it, so the system's [abop_apply] must not mutate its
-    argument (see {!Sep_model.System.abop}).
+    One set of per-state steps decides the six conditions, and three
+    drivers run them. Each driver keeps its own order of checks, and so
+    of failures:
+    - {!check} explores the reachable graph and examines it;
+    - {!check_states} and {!check_states_pairwise} examine a
+      caller-supplied state sample;
+    - {!online}/{!check_next} examine states one at a time, as they
+      arrive ({!Monitor} wraps this driver).
+    {!check} and the sample drivers check conditions 1 and 2 over every
+    state, then 3–6 colour by colour, and stop at [max_failures]. The
+    online driver checks all six for each state in turn, against the
+    states before it, and counts checks past the cap.
 
-    The graph path compares ids, the sample path values. {!check}
-    interns each [Phi^c] value it computes, per colour: the value is
-    hashed once with [hash_abstate], and [equal_abstate] runs only
+    Over an explored graph ({!check}) a state's post-[INPUT] states and
+    [NEXTOP] successor are states of the graph, and [Phi^c] of each state
+    is computed once per colour and shared by every check that reads it,
+    so the system's [abop_apply] must not mutate its argument (see
+    {!Sep_model.System.abop}).
+
+    The graph path compares ids, the sample and online paths values.
+    {!check} interns each [Phi^c] value it computes, per colour: the value
+    is hashed once with [hash_abstate], and [equal_abstate] runs only
     against the values already interned under that hash. Conditions 2, 3
     and 4 then compare ids, and conditions 3, 5 and 6 find a state's
     class by its id. Condition 1 compares the interned value with the
@@ -45,8 +57,9 @@
     see the interned value, which is [equal_abstate] to the one computed
     there; the system's [equal_abstate] must therefore be an equivalence
     that [hash_abstate], [pp_abstate] and [sanctioned_interference]
-    respect (see {!Sep_model.System.t}). {!check_states} and
-    {!check_states_pairwise} compare values and keep nothing they
+    respect (see {!Sep_model.System.t}). The sample and online paths
+    number each colour's classes with the same intern table.
+    {!check_states} and {!check_states_pairwise} keep nothing else they
     derive.
 
     Reports do not depend on either: checks, their order, and every
@@ -130,3 +143,31 @@ val check_states_pairwise :
     Verdict-equivalent to {!check_states} (which buckets by abstraction
     and exploits transitivity of equality) but quadratic in the sample —
     kept as the ablation baseline for experiment E10. *)
+
+(** {1 One state at a time} *)
+
+type ('s, 'i, 'o, 'a, 'p) online
+(** The state-by-state driver: per colour, the [Phi^c] value of each
+    class met so far and the class's first state, and nothing else of the
+    states checked. *)
+
+val online :
+  ?max_failures:int -> ?on_first_failure:(failure -> unit) ->
+  ('s, 'i, 'o, 'a, 'p) Sep_model.System.t -> ('s, 'i, 'o, 'a, 'p) online
+(** A driver that has checked no state. It keeps at most [max_failures]
+    (default 20) failures and formats no other, but goes on counting
+    checks past the cap. [on_first_failure] (default: nothing) sees the
+    first failure kept, before the rest of its state's checks run. *)
+
+val check_next : ('s, 'i, 'o, 'a, 'p) online -> 's -> failure list
+(** All six conditions for one state, against the states checked
+    before it. Returns the failures it kept for this state, in order. A
+    post-[INPUT] state [equal_state] to the state checked is not
+    abstracted again: its views are the state's own, which
+    {!Sep_model.System.t} requires of [Phi^c]. *)
+
+val online_report : _ online -> report
+(** The report so far. Over the same state list, {!check_states} gives
+    the same report on a clean sample. With no cap on either, the two
+    find the same failures, in a different order, and make the same
+    checks. *)

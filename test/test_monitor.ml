@@ -105,10 +105,10 @@ let test_corpus_agreement_and_detection () =
           case.Score.cc_schedule
       in
       let online = run_case_online case case.Score.cc_schedule in
-      (* on violating runs only the state totals are comparable: past a
-         failure the offline checker and the monitor count the remaining
-         checks differently, and both cap recorded failures at
-         [max_failures] in different fill orders *)
+      (* capped, only the state totals are comparable: the offline checker
+         stops at [max_failures], the monitor counts on past it, and the
+         two fill the cap in different orders (uncapped agreement is
+         [test_violating_agreement]'s) *)
       check Alcotest.int (file ^ ": states") offline.Separability.states
         online.Fuzz.on_report.Separability.states;
       Alcotest.(check bool) (file ^ ": offline flags the mutant") false
@@ -142,6 +142,116 @@ let test_corpus_first_step_minimal () =
           (clean.Fuzz.on_first_violation = None))
     (corpus_cases ())
 
+(* With no cap, the monitor and the offline checker find the same
+   failures on a violating run, in a different order (all six conditions
+   per state online, colour by colour offline), and make the same checks.
+   Each seeded bug on each small scenario, over a drip run with scrambled
+   Phi-partners. *)
+let sample (inst : Scenarios.instance) bugs =
+  let t = Sue.build ~bugs inst.Scenarios.cfg in
+  let rng = Sep_util.Prng.create 42 in
+  let states = ref [] in
+  let add () =
+    let s = Sue.copy t in
+    states := s :: !states;
+    List.iter
+      (fun c ->
+        for _ = 1 to 2 do
+          states := Sue.scramble_others rng s c :: !states
+        done)
+      (Sep_core.Config.colours inst.Scenarios.cfg)
+  in
+  add ();
+  List.iter
+    (fun input ->
+      ignore (Sue.step t input);
+      add ())
+    (drip inst 24);
+  List.rev !states
+
+let test_violating_agreement () =
+  let failures r =
+    List.sort compare
+      (List.map
+         (fun (f : Separability.failure) ->
+           ( f.Separability.condition,
+             Sep_model.Colour.name f.Separability.colour,
+             f.Separability.detail ))
+         r.Separability.failures)
+  in
+  let violating =
+    List.fold_left
+      (fun violating (inst : Scenarios.instance) ->
+        List.fold_left
+          (fun violating bug ->
+            let label = Fmt.str "%s/%a" inst.Scenarios.label Sue.pp_bug bug in
+            let sys =
+              Sue.to_system ~bugs:[ bug ] ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg
+            in
+            let states = sample inst [ bug ] in
+            let offline = Separability.check_states ~max_failures:max_int sys states in
+            let m = Monitor.create ~max_failures:max_int sys in
+            List.iter (fun s -> ignore (Monitor.feed m s)) states;
+            let online = Monitor.report m in
+            check Alcotest.int (label ^ ": states") offline.Separability.states
+              online.Separability.states;
+            check Alcotest.int (label ^ ": checks") offline.Separability.checks
+              online.Separability.checks;
+            check
+              Alcotest.(list (pair int int))
+              (label ^ ": per-condition counts") offline.Separability.cond_checks
+              online.Separability.cond_checks;
+            check
+              Alcotest.(list (triple int string string))
+              (label ^ ": the same failures") (failures offline) (failures online);
+            if Separability.verified offline then violating else violating + 1)
+          violating Sue.all_bugs)
+      0
+      [ Scenarios.pipeline; Scenarios.interrupt; Scenarios.snfe_micro ]
+  in
+  Alcotest.(check bool) "most runs violate" true (violating >= 12)
+
+(* A failure past the cap is never formatted, and its state's checks are
+   still counted: a drip run that violates at nearly every state renders
+   states only for the failures it keeps, at most two per failure, and
+   makes the checks an uncapped monitor makes. *)
+let test_dropped_failures_unformatted () =
+  let module System = Sep_model.System in
+  let inst = Scenarios.pipeline in
+  let bugs = [ Sue.Input_crosstalk ] in
+  let sys = Sue.to_system ~bugs ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg in
+  let t = Sue.build ~bugs inst.Scenarios.cfg in
+  let states =
+    Sue.copy t
+    :: List.map
+         (fun input ->
+           ignore (Sue.step t input);
+           Sue.copy t)
+         (drip inst 400)
+  in
+  let printed = ref 0 in
+  let pp_state ppf s =
+    incr printed;
+    sys.System.pp_state ppf s
+  in
+  let capped = Monitor.create { sys with System.pp_state } in
+  let uncapped = Monitor.create ~max_failures:max_int sys in
+  List.iter
+    (fun s ->
+      ignore (Monitor.feed capped s);
+      ignore (Monitor.feed uncapped s))
+    states;
+  let r = Monitor.report capped in
+  let kept = List.length r.Separability.failures in
+  check Alcotest.int "failures kept" 20 kept;
+  Alcotest.(check bool)
+    (Fmt.str "%d states printed for %d failures" !printed kept)
+    true (!printed <= 2 * kept);
+  Alcotest.(check bool) "more failures past the cap" true
+    (List.length (Monitor.report uncapped).Separability.failures > kept);
+  check Alcotest.int "checks counted past the cap" (Monitor.report uncapped).Separability.checks
+    r.Separability.checks
+
 (* -- the flight-recorder hook ----------------------------------------------- *)
 
 let test_violation_dumps_trace () =
@@ -163,6 +273,35 @@ let test_violation_dumps_trace () =
       Alcotest.(check bool) "dump carries the preceding events" true (events <> []);
       Alcotest.(check bool) "the violation instant is recorded" true
         (List.exists (fun e -> e.Trace.cat = "monitor" && e.Trace.name = "violation") events))
+
+(* The dump fires as the first failure is recorded, before the rest of
+   its state's checks: the state's other checks and failures come after
+   it. *)
+let test_dump_precedes_rest_of_state () =
+  let inst = Scenarios.pipeline in
+  let bugs = [ Sue.Misroute_device_input ] in
+  let m = Monitor.create (Sue.to_system ~bugs ~inputs:inst.Scenarios.alphabet inst.Scenarios.cfg) in
+  let at_dump = ref None in
+  Trace.on_dump (fun reason _ ->
+      if !at_dump = None then at_dump := Some (reason, Monitor.report m));
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.clear ())
+  @@ fun () ->
+  let fresh = Monitor.feed ~step:7 m (Sue.copy (Sue.build ~bugs inst.Scenarios.cfg)) in
+  match (!at_dump, Monitor.first_violation m) with
+  | None, _ | _, None -> Alcotest.fail "the initial state must violate and dump"
+  | Some (reason, r), Some (step, first) ->
+    check Alcotest.int "attributed step" 7 step;
+    check Alcotest.string "the dump names the first failure"
+      (Fmt.str "separability violation: condition %d at step 7" first.Separability.condition)
+      reason;
+    Alcotest.(check bool) "no failure before it" true (r.Separability.failures = []);
+    Alcotest.(check bool) "the state's other failures come after it" true
+      (List.length fresh > 1 && List.hd fresh = first);
+    Alcotest.(check bool) "the state's other checks run after the dump" true
+      (r.Separability.checks < (Monitor.report m).Separability.checks)
 
 (* -- watching a live kernel -------------------------------------------------- *)
 
@@ -447,9 +586,17 @@ let () =
             test_corpus_agreement_and_detection;
           Alcotest.test_case "first violating step is minimal" `Slow
             test_corpus_first_step_minimal;
+          Alcotest.test_case "uncapped violating runs match offline" `Quick
+            test_violating_agreement;
+          Alcotest.test_case "dropped failures are not formatted" `Quick
+            test_dropped_failures_unformatted;
         ] );
       ( "flight-recorder",
-        [ Alcotest.test_case "violation flushes the ring" `Quick test_violation_dumps_trace ] );
+        [
+          Alcotest.test_case "violation flushes the ring" `Quick test_violation_dumps_trace;
+          Alcotest.test_case "dump precedes the state's other checks" `Quick
+            test_dump_precedes_rest_of_state;
+        ] );
       ( "watch",
         [
           Alcotest.test_case "clean kernel stays clean" `Quick test_watch_clean;
