@@ -1,5 +1,7 @@
 #!/bin/sh
-# CI check: full build, the whole test suite, an online-monitor smoke run
+# CI check: full build, the whole test suite (which also reruns every
+# `$ rushby ...` block of EXPERIMENTS.md and fails on a diff; `dune
+# promote` accepts an intended change), an online-monitor smoke run
 # (exit 1 on offline/online disagreement or a missed corpus mutant), the
 # exhaustive mutant kill table (exit 1 if any seeded kernel bug escapes
 # its predicted condition), a deterministic fault-injection smoke

@@ -2,8 +2,9 @@
 
    One subcommand per activity: verifying kernels (exhaustively or by
    randomized sampling), running the IFA baseline, driving the SNFE, the
-   Guard and the MLS system, measuring covert bandwidth, and printing the
-   kernel-comparison metrics. *)
+   Guard and the MLS system, measuring covert bandwidth, printing the
+   kernel-comparison metrics, and printing the EXPERIMENTS.md tables that
+   no other subcommand prints (experiment.ml). *)
 
 open Cmdliner
 
@@ -42,6 +43,13 @@ let uncut_arg =
    bandwidth, inject, fuzz, recover) shares this definition, so --seed
    means the same thing, with the same default, everywhere *)
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
+
+(* the other flags several subcommands share, one definition each; a
+   subcommand supplies its own default and doc *)
+let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+let json_arg doc = Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+let steps_arg default doc = Arg.(value & opt int default & info [ "steps" ] ~doc)
+let count_arg default doc = Arg.(value & opt int default & info [ "count" ] ~doc)
 
 let jobs_arg =
   Arg.(value
@@ -457,7 +465,7 @@ let trace_run (scenario, impl) bugs steps trace_json chrome =
   0
 
 let trace_cmd =
-  let steps = Arg.(value & opt int 40 & info [ "steps" ] ~doc:"Steps to trace.") in
+  let steps = steps_arg 40 "Steps to trace." in
   Cmd.v (Cmd.info "trace" ~doc:"Trace a kernel run: instructions, traps, switches, interrupts.")
     Term.(const trace_run $ scenario_impl_arg $ bugs_arg $ steps $ trace_json_arg $ chrome_arg)
 
@@ -569,15 +577,11 @@ let monitor_run (scenario, impl) bugs seed scrambles steps smoke corpus chrome =
   end
 
 let monitor_cmd =
-  let steps =
-    Arg.(value & opt int 24 & info [ "steps" ] ~doc:"Input-schedule length (the kernel then settles).")
-  in
+  let steps = steps_arg 24 "Input-schedule length (the kernel then settles)." in
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:
-               "CI mode: check online/offline agreement on every clean scenario and online \
-                detection of every checked-in corpus mutant.")
+    smoke_arg
+      "CI mode: check online/offline agreement on every clean scenario and online detection \
+       of every checked-in corpus mutant."
   in
   let corpus =
     Arg.(value & opt string "test/corpus"
@@ -690,11 +694,8 @@ let stats_run (scenario, impl) bugs seed jobs steps json_file =
   0
 
 let stats_cmd =
-  let steps = Arg.(value & opt int 2000 & info [ "steps" ] ~doc:"Steps to run.") in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Also write the counters and spans as JSONL to $(docv).")
-  in
+  let steps = steps_arg 2000 "Steps to run." in
+  let json_file = json_arg "Also write the counters and spans as JSONL to $(docv)." in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
@@ -748,16 +749,10 @@ let inject_run seed jobs steps count smoke json_file =
   if ok then 0 else 1
 
 let inject_cmd =
-  let steps = Arg.(value & opt int 200 & info [ "steps" ] ~doc:"Steps per run.") in
-  let count = Arg.(value & opt int 40 & info [ "count" ] ~doc:"Fault plans per scenario.") in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ] ~doc:"Small deterministic campaign (60 steps, 12 faults/scenario) for CI.")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the campaign report as JSONL to $(docv).")
-  in
+  let steps = steps_arg 200 "Steps per run." in
+  let count = count_arg 40 "Fault plans per scenario." in
+  let smoke = smoke_arg "Small deterministic campaign (60 steps, 12 faults/scenario) for CI." in
+  let json_file = json_arg "Write the campaign report as JSONL to $(docv)." in
   Cmd.v
     (Cmd.info "inject"
        ~doc:
@@ -844,20 +839,14 @@ let recover_run seed jobs steps count smoke drop json_file =
   if ok then 0 else 1
 
 let recover_cmd =
-  let steps = Arg.(value & opt int 200 & info [ "steps" ] ~doc:"Steps per run.") in
-  let count = Arg.(value & opt int 40 & info [ "count" ] ~doc:"Fault plans per scenario.") in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ] ~doc:"Small deterministic campaign (60 steps, 12 plans/scenario) for CI.")
-  in
+  let steps = steps_arg 200 "Steps per run." in
+  let count = count_arg 40 "Fault plans per scenario." in
+  let smoke = smoke_arg "Small deterministic campaign (60 steps, 12 plans/scenario) for CI." in
   let drop =
     Arg.(value & opt int 10
          & info [ "drop" ] ~doc:"Lossy-link drop rate (percent) for the reliable-net differential.")
   in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the campaign report as JSONL to $(docv).")
-  in
+  let json_file = json_arg "Write the campaign report as JSONL to $(docv)." in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
@@ -947,12 +936,9 @@ let federate_run seed jobs steps count smoke chaos json_file =
   if ok then 0 else 1
 
 let federate_cmd =
-  let steps = Arg.(value & opt int 600 & info [ "steps" ] ~doc:"Steps per run.") in
-  let count = Arg.(value & opt int 10 & info [ "count" ] ~doc:"Seeded fault plans per scenario.") in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ] ~doc:"Small deterministic run (300 steps, 8 plans/scenario) for CI.")
-  in
+  let steps = steps_arg 600 "Steps per run." in
+  let count = count_arg 10 "Seeded fault plans per scenario." in
+  let smoke = smoke_arg "Small deterministic run (300 steps, 8 plans/scenario) for CI." in
   let chaos =
     Arg.(value & flag
          & info [ "chaos" ]
@@ -960,10 +946,7 @@ let federate_cmd =
                    tampering and machine faults, classified by differential trace comparison with \
                    the online monitor attached.")
   in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write runs and campaign report as JSONL to $(docv).")
-  in
+  let json_file = json_arg "Write runs and campaign report as JSONL to $(docv)." in
   Cmd.v
     (Cmd.info "federate"
        ~doc:
@@ -1034,15 +1017,9 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
   if ok then 0 else 1
 
 let serve_cmd =
-  let steps = Arg.(value & opt int 5000 & info [ "steps" ] ~doc:"Service steps per case.") in
-  let soak =
-    Arg.(value & opt int 6 & info [ "count" ] ~doc:"Seeded soak plans per service (plus directed).")
-  in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Small deterministic run (2000 steps, 1 soak plan/service) for CI.")
-  in
+  let steps = steps_arg 5000 "Service steps per case." in
+  let soak = count_arg 6 "Seeded soak plans per service (plus directed)." in
+  let smoke = smoke_arg "Small deterministic run (2000 steps, 1 soak plan/service) for CI." in
   let soak_mode =
     Arg.(value & flag
          & info [ "soak" ]
@@ -1053,10 +1030,7 @@ let serve_cmd =
          & info [ "service" ] ~docv:"NAME"
              ~doc:"Run a single deployment (fed-fs, fed-print, fed-auth, fed-guard).")
   in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write campaign reports as JSONL to $(docv).")
-  in
+  let json_file = json_arg "Write campaign reports as JSONL to $(docv)." in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1242,14 +1216,8 @@ let fuzz_cmd =
   let budget =
     Arg.(value & opt int 480 & info [ "budget" ] ~doc:"Fuzz executions per scenario and per mutant.")
   in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Small deterministic budget (40 execs) for CI.")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write corpus, kill table and summary as JSONL to $(docv).")
-  in
+  let smoke = smoke_arg "Small deterministic budget (40 execs) for CI." in
+  let json_file = json_arg "Write corpus, kill table and summary as JSONL to $(docv)." in
   let replay =
     Arg.(value & opt (some int) None
          & info [ "replay" ] ~docv:"SEED"
@@ -1405,14 +1373,9 @@ let refine_run smoke seed jobs json_file replay bug =
   | None -> refine_full smoke seed jobs json_file
 
 let refine_cmd =
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ] ~doc:"Small deterministic budgets (one schedule per scenario) for CI.")
-  in
+  let smoke = smoke_arg "Small deterministic budgets (one schedule per scenario) for CI." in
   let json_file =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write scenario runs, workload runs, kill table and summary as JSONL to $(docv).")
+    json_arg "Write scenario runs, workload runs, kill table and summary as JSONL to $(docv)."
   in
   let replay =
     Arg.(value & opt (some int) None
@@ -1433,6 +1396,22 @@ let refine_cmd =
           race every seeded kernel bug against the stack, shrinking each divergence to a minimal \
           replayable workload.")
     Term.(const refine_run $ smoke $ seed_arg $ jobs_arg $ json_file $ replay $ bug)
+
+(* -- experiment --------------------------------------------------------------- *)
+
+let experiment_cmd =
+  let names =
+    Arg.(value & pos_all (enum Experiment.all) []
+         & info [] ~docv:"NAME"
+             ~doc:(Fmt.str "Experiments to print (default: all): %s."
+                     (String.concat ", " (List.map fst Experiment.all))))
+  in
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:
+         "Print the tables of the EXPERIMENTS.md experiments that no other subcommand prints. \
+          Every number depends only on the source tree.")
+    Term.(const Experiment.run $ names)
 
 let main_cmd =
   let doc = "reproduction of Rushby's separation kernel and Proof of Separability (SOSP 1981)" in
@@ -1458,6 +1437,7 @@ let main_cmd =
       serve_cmd;
       fuzz_cmd;
       refine_cmd;
+      experiment_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

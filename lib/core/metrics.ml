@@ -31,42 +31,6 @@ let conventional_profile =
     verification = "IFA on specifications + trusted-process review";
   }
 
-(* Count lines containing code: skip blanks and comments, tracking the
-   nesting depth of (* ... *) blocks across lines (OCaml comments nest).
-   Comment openers inside string literals are not recognised — close
-   enough for a size proxy. *)
-let loc_of_file path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let count = ref 0 in
-    let depth = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         let n = String.length line in
-         let code = ref false in
-         let i = ref 0 in
-         while !i < n do
-           if !i + 1 < n && line.[!i] = '(' && line.[!i + 1] = '*' then begin
-             incr depth;
-             i := !i + 2
-           end
-           else if !i + 1 < n && line.[!i] = '*' && line.[!i + 1] = ')' && !depth > 0 then begin
-             decr depth;
-             i := !i + 2
-           end
-           else begin
-             if !depth = 0 && line.[!i] <> ' ' && line.[!i] <> '\t' then code := true;
-             incr i
-           end
-         done;
-         if !code then incr count
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some !count
-
 let pp_profile ppf p =
   Fmt.pf ppf "@[<v2>%s:@ policy-free: %b@ services: %s@ kernel words: %s@ mediates I/O: %b@ \
               scheduling: %s@ verification: %s@]"

@@ -22,9 +22,4 @@ val sue_profile : Sep_hw.Isa.stmt list Config.t -> profile
 
 val conventional_profile : profile
 
-val loc_of_file : string -> int option
-(** Non-blank, non-comment-only source lines of an OCaml file, when it is
-    readable — a rough implementation-size proxy for benchmark reports
-    run from the repository. *)
-
 val pp_profile : Format.formatter -> profile -> unit

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: Sep_util.Json, Sep_obs (telemetry,
-   spans, sinks), kernel counters, Ktrace JSON, and the loc_of_file fix. *)
+   spans, sinks), kernel counters and Ktrace JSON. *)
 
 module Json = Sep_util.Json
 module Telemetry = Sep_obs.Telemetry
@@ -431,32 +431,6 @@ let test_ktrace_to_json () =
       | Error e -> Alcotest.fail e)
     lines entries
 
-(* -- Metrics.loc_of_file --------------------------------------------------- *)
-
-let test_loc_multiline_comments () =
-  let path = Filename.temp_file "loc" ".ml" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc
-    "let x = 1\n\
-     (* a comment\n\
-     \   spanning (* a nested block\n\
-     \   *) still inside\n\
-     *)\n\
-     let y = 2  (* trailing comment *)\n\
-     \n\
-     \t  \n\
-     (* one-liner *)\n\
-     let z = 3\n";
-  close_out oc;
-  match Sep_core.Metrics.loc_of_file path with
-  | None -> Alcotest.fail "file exists"
-  | Some n -> check Alcotest.int "only the three code lines count" 3 n
-
-let test_loc_missing_file () =
-  check Alcotest.bool "missing file is None" true
-    (Sep_core.Metrics.loc_of_file "/nonexistent/nope.ml" = None)
-
 (* -------------------------------------------------------------------------- *)
 
 let () =
@@ -499,10 +473,5 @@ let () =
         [
           Alcotest.test_case "every event constructor" `Quick test_ktrace_event_json;
           Alcotest.test_case "jsonl entries" `Quick test_ktrace_to_json;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "loc: nested multi-line comments" `Quick test_loc_multiline_comments;
-          Alcotest.test_case "loc: missing file" `Quick test_loc_missing_file;
         ] );
     ]
