@@ -16,7 +16,8 @@
 # smoke run plus a short chaos soak over all four §6 services (exit 1 on
 # any broken exactly-once contract, lost or duplicated effect, or unclean
 # shard monitor), a parallel-determinism
-# check (the -j 2 JSON reports, the soak's included, must be
+# check (the -j 2 JSON reports, the recovery campaign's and the soak's
+# included, must be
 # byte-identical to -j 1, and so must the sampled checker's
 # verify-random verdicts on three scenarios and its failing report on a
 # seeded output leak, which must exit 1), a replay
@@ -60,6 +61,9 @@ trap 'rm -rf "$tmpdir"' EXIT
 dune exec bin/rushby.exe -- inject --smoke -j 1 --json "$tmpdir/inject-j1.jsonl"
 dune exec bin/rushby.exe -- inject --smoke -j 2 --json "$tmpdir/inject-j2.jsonl"
 diff "$tmpdir/inject-j1.jsonl" "$tmpdir/inject-j2.jsonl"
+dune exec bin/rushby.exe -- recover --smoke -j 1 --json "$tmpdir/recover-j1.jsonl"
+dune exec bin/rushby.exe -- recover --smoke -j 2 --json "$tmpdir/recover-j2.jsonl"
+diff "$tmpdir/recover-j1.jsonl" "$tmpdir/recover-j2.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 1 --json "$tmpdir/fuzz-j1.jsonl"
 dune exec bin/rushby.exe -- fuzz --smoke --seed 5 -j 2 --json "$tmpdir/fuzz-j2.jsonl"
 diff "$tmpdir/fuzz-j1.jsonl" "$tmpdir/fuzz-j2.jsonl"

@@ -3,35 +3,41 @@
    One subcommand per activity: verifying kernels (exhaustively or by
    randomized sampling), running the IFA baseline, driving the SNFE, the
    Guard and the MLS system, measuring covert bandwidth, printing the
-   kernel-comparison metrics, and printing the EXPERIMENTS.md tables that
-   no other subcommand prints (experiment.ml). *)
+   kernel-comparison metrics, the campaigns, and printing the
+   EXPERIMENTS.md tables that no other subcommand prints (experiment.ml).
+   A subcommand parses its flags, calls the library, prints, and hands
+   --json the library's own report lines. *)
 
 open Cmdliner
+module Json = Sep_util.Json
+module Scenarios = Sep_core.Scenarios
+module Sue = Sep_core.Sue
+module Separability = Sep_core.Separability
+module Campaign = Sep_robust.Campaign
+module Diff = Sep_check.Diff
+module Score = Sep_check.Score
 
-let scenario_of_string = function
-  | "pipeline" -> Ok Sep_core.Scenarios.pipeline
-  | "interrupt" -> Ok Sep_core.Scenarios.interrupt
-  | "snfe-micro" -> Ok Sep_core.Scenarios.snfe_micro
-  | "preemptive" -> Ok Sep_core.Scenarios.preemptive
-  | s -> Error (`Msg ("unknown scenario " ^ s ^ " (pipeline|interrupt|snfe-micro|preemptive)"))
+let scenario_conv =
+  let labels =
+    String.concat "|" (List.map (fun (i : Scenarios.instance) -> i.label) Scenarios.all)
+  in
+  let parse s =
+    Option.to_result (Scenarios.find s) ~none:(`Msg (Fmt.str "unknown scenario %s (%s)" s labels))
+  in
+  Arg.conv (parse, fun ppf (i : Scenarios.instance) -> Fmt.string ppf i.label)
 
-let scenario_conv = Arg.conv (scenario_of_string, fun ppf i -> Fmt.string ppf i.Sep_core.Scenarios.label)
-
-let bug_of_string s =
-  let matching b = Fmt.str "%a" Sep_core.Sue.pp_bug b = s in
-  match List.find_opt matching Sep_core.Sue.all_bugs with
-  | Some b -> Ok b
-  | None ->
-    Error
-      (`Msg
-         (Fmt.str "unknown bug %s (one of: %a)" s
-            Fmt.(list ~sep:(any ", ") Sep_core.Sue.pp_bug)
-            Sep_core.Sue.all_bugs))
-
-let bug_conv = Arg.conv (bug_of_string, Sep_core.Sue.pp_bug)
+let bug_conv =
+  let parse s =
+    Option.to_result (Score.bug_of_name s)
+      ~none:
+        (`Msg
+           (Fmt.str "unknown bug %s (one of: %s)" s
+              (String.concat ", " (List.map Score.bug_name Sue.all_bugs))))
+  in
+  Arg.conv (parse, Sue.pp_bug)
 
 let scenario_arg =
-  Arg.(value & opt scenario_conv Sep_core.Scenarios.pipeline & info [ "scenario" ] ~doc:"Scenario: pipeline, interrupt, snfe-micro or preemptive.")
+  Arg.(value & opt scenario_conv Scenarios.pipeline & info [ "scenario" ] ~doc:"Scenario: pipeline, interrupt, snfe-micro or preemptive.")
 
 let bugs_arg =
   Arg.(value & opt_all bug_conv [] & info [ "bug" ] ~doc:"Inject a kernel bug (repeatable).")
@@ -61,35 +67,32 @@ let jobs_arg =
 
 let impl_arg =
   let impl_of_string = function
-    | "microcode" -> Ok Sep_core.Sue.Microcode
-    | "assembly" | "asm" -> Ok Sep_core.Sue.Assembly
+    | "microcode" -> Ok Sue.Microcode
+    | "assembly" | "asm" -> Ok Sue.Assembly
     | other -> Error (`Msg ("unknown kernel implementation " ^ other))
   in
-  let impl_conv = Arg.conv (impl_of_string, Sep_core.Sue.pp_impl) in
-  Arg.(value & opt impl_conv Sep_core.Sue.Microcode
+  let impl_conv = Arg.conv (impl_of_string, Sue.pp_impl) in
+  Arg.(value & opt impl_conv Sue.Microcode
        & info [ "impl" ] ~doc:"Kernel implementation: microcode or assembly (machine code).")
 
 (* [Some reason] when the kernel implementation cannot run the scenario.
    [Sue.build]'s own validation is the one statement of what each kernel
    supports (the assembly kernel has no preemption quantum). *)
-let unsupported impl (sc : Sep_core.Scenarios.instance) =
-  match Sep_core.Sue.build ~impl sc.Sep_core.Scenarios.cfg with
-  | _ -> None
-  | exception Invalid_argument reason -> Some reason
+let unsupported impl (sc : Scenarios.instance) =
+  match Sue.build ~impl sc.cfg with _ -> None | exception Invalid_argument reason -> Some reason
 
 (* Whole-catalogue modes skip the scenarios the kernel cannot run. *)
-let print_skipped (sc : Sep_core.Scenarios.instance) reason =
-  Fmt.pr "  %-12s skipped: %s@." sc.Sep_core.Scenarios.label reason
+let print_skipped (sc : Scenarios.instance) reason = Fmt.pr "  %-12s skipped: %s@." sc.label reason
 
 (* --scenario and --impl together: a combination the kernel cannot run is
    a usage error, reported once here for every subcommand taking both *)
 let scenario_impl_arg =
-  let check scenario impl =
+  let check (scenario : Scenarios.instance) impl =
     match unsupported impl scenario with
     | None -> (scenario, impl)
     | Some reason ->
-      Fmt.epr "rushby: scenario %s does not run on the %a kernel: %s@."
-        scenario.Sep_core.Scenarios.label Sep_core.Sue.pp_impl impl reason;
+      Fmt.epr "rushby: scenario %s does not run on the %a kernel: %s@." scenario.label Sue.pp_impl
+        impl reason;
       exit 2
   in
   Term.(const check $ scenario_arg $ impl_arg)
@@ -99,62 +102,51 @@ let trace_json_arg =
        & info [ "trace-json" ] ~docv:"FILE"
            ~doc:"Also write a machine-readable JSONL record of the run to $(docv).")
 
+let exit_of ok = if ok then 0 else 1
+
 (* a bad --trace-json/--json path is a usage problem, not an internal error *)
 let graceful_write f = try f () with Sys_error msg -> Fmt.epr "rushby: %s@." msg; exit 1
 
-(* a --json report: [emit_all] hands every line to one Sep_obs.Sink *)
-let write_jsonl file emit_all =
-  graceful_write (fun () ->
-      Sep_obs.Sink.with_file file (fun sink -> emit_all (Sep_obs.Sink.emit sink)));
-  Fmt.pr "wrote %s@." file
+(* the one file writer, for --json, --trace-json, --chrome and the corpus *)
+let write_file file contents =
+  graceful_write (fun () -> Out_channel.with_open_text file (fun oc -> output_string oc contents))
 
-let emit_json_record file ~kernel_counters report =
-  graceful_write @@ fun () ->
-  Sep_obs.Sink.with_file file (fun sink ->
-      Sep_obs.Sink.emit sink
-        (Sep_util.Json.Obj
-           [
-             ("kind", Sep_util.Json.String "report");
-             ("report", Sep_core.Separability.report_to_json report);
-           ]);
-      (match kernel_counters with
-      | None -> ()
-      | Some tel ->
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "kernel_counters");
-               ("telemetry", Sep_obs.Telemetry.to_json tel);
-             ]));
-      Sep_obs.Sink.emit sink
-        (Sep_util.Json.Obj
-           [ ("kind", Sep_util.Json.String "spans"); ("telemetry", Sep_obs.Span.to_json ()) ]))
+let write_records file lines = Option.iter (fun f -> write_file f (Sep_obs.Sink.jsonl lines)) file
+
+(* a campaign's --json report, announced on stdout *)
+let write_jsonl file lines =
+  write_records file lines;
+  Option.iter (Fmt.pr "wrote %s@.") file
+
+(* a record the CLI puts around a library serialiser *)
+let record kind fields = Json.Obj (("kind", Json.String kind) :: fields)
+
+(* the --trace-json records of a checker run *)
+let check_records ?kernel_counters report =
+  let report = record "report" [ ("report", Separability.report_to_json report) ] in
+  let counters =
+    Option.to_list
+      (Option.map
+         (fun tel -> record "kernel_counters" [ ("telemetry", Sep_obs.Telemetry.to_json tel) ])
+         kernel_counters)
+  in
+  (report :: counters) @ [ record "spans" [ ("telemetry", Sep_obs.Span.to_json ()) ] ]
 
 (* -- verify ---------------------------------------------------------------- *)
 
-let verify_run (scenario, impl) bugs uncut trace_json =
+let verify_run ((scenario : Scenarios.instance), impl) bugs uncut trace_json =
   if trace_json <> None then Sep_obs.Span.set_enabled true;
-  let cfg =
-    if uncut then Sep_core.Config.cut_none scenario.Sep_core.Scenarios.cfg
-    else scenario.Sep_core.Scenarios.cfg
-  in
-  let sys = Sep_core.Sue.to_system ~bugs ~impl ~inputs:scenario.Sep_core.Scenarios.alphabet cfg in
-  let report = Sep_core.Separability.check sys in
-  Fmt.pr "%a@." Sep_core.Separability.pp_report report;
-  (match trace_json with
-  | None -> ()
-  | Some file ->
-    (* the exploration's kernel counters accumulate in the system's shared
-       initial instance: they count the search's own work, one INPUT per
-       state and input and one NEXTOP per post-INPUT class, plus the
-       operations condition 1 runs in states that are never post-INPUT *)
-    let kernel_counters =
-      match sys.Sep_model.System.initial with
-      | t0 :: _ -> Some (Sep_core.Sue.telemetry t0)
-      | [] -> None
-    in
-    emit_json_record file ~kernel_counters report);
-  if Sep_core.Separability.verified report then 0 else 1
+  let cfg = if uncut then Sep_core.Config.cut_none scenario.cfg else scenario.cfg in
+  let sys = Sue.to_system ~bugs ~impl ~inputs:scenario.alphabet cfg in
+  let report = Separability.check sys in
+  Fmt.pr "%a@." Separability.pp_report report;
+  (* the exploration's kernel counters accumulate in the system's shared
+     initial instance: they count the search's own work, one INPUT per
+     state and input and one NEXTOP per post-INPUT class, plus the
+     operations condition 1 runs in states that are never post-INPUT *)
+  let kernel_counters = Option.map Sue.telemetry (List.nth_opt sys.Sep_model.System.initial 0) in
+  write_records trace_json (check_records ?kernel_counters report);
+  exit_of (Separability.verified report)
 
 let verify_cmd =
   let doc = "Exhaustive Proof of Separability over a micro-scenario." in
@@ -179,14 +171,15 @@ let pp_schedule ppf sched =
       ppf sched
 
 (* On a randomized failure, print standalone minimized counterexamples
-   instead of the raw sampled-run dump, plus the one-line replay. *)
-let print_minimized scenario bugs impl seed params conditions =
+   instead of the raw sampled-run dump, plus the command that reruns this
+   check and prints them again. *)
+let print_minimized (scenario : Scenarios.instance) bugs impl seed params conditions =
   let minimized =
-    Sep_check.Score.minimize_randomized ~bugs ~impl ~params ~seed
-      ~inputs:scenario.Sep_core.Scenarios.alphabet ~conditions scenario.Sep_core.Scenarios.cfg
+    Score.minimize_randomized ~bugs ~impl ~params ~seed ~inputs:scenario.alphabet ~conditions
+      scenario.cfg
   in
   List.iter
-    (fun (m : Sep_check.Score.minimized) ->
+    (fun (m : Score.minimized) ->
       Fmt.pr
         "minimized counterexample (condition%s %s): %d-step schedule %a  [check seed %d, %d \
          scrambles, %d shrink steps]@."
@@ -196,7 +189,7 @@ let print_minimized scenario bugs impl seed params conditions =
         m.mz_shrink_steps)
     minimized;
   let reproduced c =
-    List.exists (fun (m : Sep_check.Score.minimized) -> List.mem c m.mz_conditions) minimized
+    List.exists (fun (m : Score.minimized) -> List.mem c m.mz_conditions) minimized
   in
   (match List.filter (fun c -> not (reproduced c)) conditions with
   | [] -> ()
@@ -204,31 +197,27 @@ let print_minimized scenario bugs impl seed params conditions =
     Fmt.pr "condition%s %s: no standalone schedule found; rerun with --trace-json for the full run@."
       (if List.compare_length_with missing 1 > 0 then "s" else "")
       (String.concat "," (List.map string_of_int missing)));
-  Fmt.pr "replay: rushby fuzz --replay %d --scenario %s%s%s --walks %d --len %d --scrambles %d@."
-    seed scenario.Sep_core.Scenarios.label
-    (String.concat ""
-       (List.map (fun b -> Fmt.str " --bug %a" Sep_core.Sue.pp_bug b) bugs))
-    (match impl with Sep_core.Sue.Assembly -> " --impl assembly" | Sep_core.Sue.Microcode -> "")
-    params.Sep_core.Randomized.walks params.Sep_core.Randomized.walk_len
-    params.Sep_core.Randomized.scrambles
+  Fmt.pr "replay: rushby verify-random --seed %d --scenario %s%s%s --walks %d --len %d --scrambles %d@."
+    seed scenario.label
+    (String.concat "" (List.map (fun b -> " --bug " ^ Score.bug_name b) bugs))
+    (match impl with Sue.Assembly -> " --impl assembly" | Sue.Microcode -> "")
+    params.Sep_core.Randomized.walks params.walk_len params.scrambles
 
-let verify_random_run (scenario, impl) bugs seed jobs walks walk_len scrambles trace_json =
+let verify_random_run ((scenario : Scenarios.instance), impl) bugs seed jobs walks walk_len
+    scrambles trace_json =
   if trace_json <> None then Sep_obs.Span.set_enabled true;
   let params = { Sep_core.Randomized.walks; walk_len; scrambles } in
   let report =
-    Sep_core.Randomized.check ~bugs ~impl ~jobs ~params ~seed
-      ~inputs:scenario.Sep_core.Scenarios.alphabet scenario.Sep_core.Scenarios.cfg
+    Sep_core.Randomized.check ~bugs ~impl ~jobs ~params ~seed ~inputs:scenario.alphabet scenario.cfg
   in
-  (if Sep_core.Separability.verified report then Fmt.pr "%a@." Sep_core.Separability.pp_report report
-   else begin
-     Fmt.pr "%a@." Sep_core.Separability.pp_summary report;
-     print_minimized scenario bugs impl seed params
-       (Sep_core.Separability.failing_conditions report)
-   end);
-  (match trace_json with
-  | None -> ()
-  | Some file -> emit_json_record file ~kernel_counters:None report);
-  if Sep_core.Separability.verified report then 0 else 1
+  let verified = Separability.verified report in
+  if verified then Fmt.pr "%a@." Separability.pp_report report
+  else begin
+    Fmt.pr "%a@." Separability.pp_summary report;
+    print_minimized scenario bugs impl seed params (Separability.failing_conditions report)
+  end;
+  write_records trace_json (check_records report);
+  exit_of verified
 
 let verify_random_cmd =
   let doc = "Randomized Proof of Separability (random walks plus scrambled partners)." in
@@ -250,15 +239,15 @@ let mutants_run () =
       if not caught then all_caught := false;
       Sep_util.Table.add_row table
         [
-          Fmt.str "%a" Sep_core.Sue.pp_bug e.bug;
-          e.scenario.Sep_core.Scenarios.label;
+          Score.bug_name e.bug;
+          e.scenario.label;
           string_of_int e.primary;
-          String.concat "," (List.map string_of_int (Sep_core.Separability.failing_conditions report));
+          String.concat "," (List.map string_of_int (Separability.failing_conditions report));
           (if caught then "yes" else "NO");
         ])
     Sep_core.Mutants.catalogue;
   Sep_util.Table.print table;
-  if !all_caught then 0 else 1
+  exit_of !all_caught
 
 let mutants_cmd =
   Cmd.v (Cmd.info "mutants" ~doc:"Check every seeded kernel bug against its predicted condition.")
@@ -316,13 +305,10 @@ let snfe_run kind censor =
   let outbound = [ "attack at dawn"; "hold position"; "regroup at bridge" ] in
   let inbound = [ "acknowledged"; "send supplies" ] in
   let r = Sep_snfe.Snfe.run_duplex kind cfg ~outbound ~inbound ~steps:40 in
-  Fmt.pr "@[<v>network saw:@,%a@,host saw:@,%a@,cleartext leaks: %d@]@."
-    Fmt.(list ~sep:cut (fun ppf s -> Fmt.pf ppf "  %s" s))
-    r.Sep_snfe.Snfe.net_packets
-    Fmt.(list ~sep:cut (fun ppf s -> Fmt.pf ppf "  %s" s))
-    r.Sep_snfe.Snfe.host_packets
-    (List.length r.Sep_snfe.Snfe.cleartext_on_net);
-  if r.Sep_snfe.Snfe.cleartext_on_net = [] then 0 else 1
+  let packets = Fmt.(list ~sep:cut (fun ppf s -> Fmt.pf ppf "  %s" s)) in
+  Fmt.pr "@[<v>network saw:@,%a@,host saw:@,%a@,cleartext leaks: %d@]@." packets r.net_packets
+    packets r.host_packets (List.length r.cleartext_on_net);
+  exit_of (r.cleartext_on_net = [])
 
 let snfe_cmd =
   Cmd.v (Cmd.info "snfe" ~doc:"Drive the secure network front end end-to-end.")
@@ -343,13 +329,9 @@ let bandwidth_run messages seed =
         Fmt.str "%.2f" b.Sep_snfe.Snfe.bits_per_message
       in
       Sep_util.Table.add_row table
-        [
-          Fmt.str "%a" Sep_components.Covert.pp_vector vector;
-          cell Sep_components.Censor.Off;
-          cell Sep_components.Censor.Basic;
-          cell Sep_components.Censor.Strict;
-        ])
-    [ Sep_components.Covert.Pad_field; Sep_components.Covert.Length_raw; Sep_components.Covert.Length_bucket ];
+        (Fmt.str "%a" Sep_components.Covert.pp_vector vector
+        :: List.map cell Sep_components.Censor.[ Off; Basic; Strict ]))
+    Sep_components.Covert.[ Pad_field; Length_raw; Length_bucket ];
   Sep_util.Table.print table;
   0
 
@@ -362,16 +344,10 @@ let bandwidth_cmd =
 
 let guard_run kind =
   let r = Sep_apps.Guard_app.run kind Sep_apps.Guard_app.demo_script in
+  let s = r.stats in
   Fmt.pr "@[<v>HIGH screen: %a@,LOW screen: %a@,officer saw %d reviews@,%d up, %d reviewed, %d released, %d denied@]@."
-    Fmt.(Dump.list string)
-    r.Sep_apps.Guard_app.high_screen
-    Fmt.(Dump.list string)
-    r.Sep_apps.Guard_app.low_screen
-    (List.length r.Sep_apps.Guard_app.officer_screen)
-    r.Sep_apps.Guard_app.stats.Sep_components.Guard.passed_up
-    r.Sep_apps.Guard_app.stats.Sep_components.Guard.reviewed
-    r.Sep_apps.Guard_app.stats.Sep_components.Guard.released
-    r.Sep_apps.Guard_app.stats.Sep_components.Guard.denied;
+    Fmt.(Dump.list string) r.high_screen Fmt.(Dump.list string) r.low_screen
+    (List.length r.officer_screen) s.passed_up s.reviewed s.released s.denied;
   0
 
 let guard_cmd = Cmd.v (Cmd.info "guard" ~doc:"Run the ACCAT Guard demo.") Term.(const guard_run $ kind_arg)
@@ -382,10 +358,10 @@ let mls_run kind =
     (fun (c, lines) ->
       Fmt.pr "== %s ==@." (Sep_model.Colour.name c);
       List.iter (Fmt.pr "  %s@.") lines)
-    r.Sep_apps.Mls.screens;
+    r.screens;
   Fmt.pr "== printer ==@.";
-  List.iter (Fmt.pr "  %s@.") r.Sep_apps.Mls.printer_output;
-  Fmt.pr "spool files left: %a@." Fmt.(Dump.list string) r.Sep_apps.Mls.spool_files_left;
+  List.iter (Fmt.pr "  %s@.") r.printer_output;
+  Fmt.pr "spool files left: %a@." Fmt.(Dump.list string) r.spool_files_left;
   0
 
 let mls_cmd = Cmd.v (Cmd.info "mls" ~doc:"Run the multilevel multi-user system demo.") Term.(const mls_run $ kind_arg)
@@ -408,20 +384,17 @@ let spooler_cmd =
 (* -- dot --------------------------------------------------------------------- *)
 
 let dot_run which =
-  let topo =
+  let topo, highlight =
     match which with
-    | "snfe" -> Sep_snfe.Snfe.topology Sep_snfe.Snfe.default_config
-    | "mls" -> Sep_apps.Mls.topology ()
-    | "guard" -> Sep_apps.Guard_app.topology ()
+    | "snfe" ->
+      Sep_snfe.Snfe.
+        ( topology default_config,
+          [ censor_tx; censor_rx; crypto_tx; crypto_rx ] )
+    | "mls" -> Sep_apps.Mls.(topology (), [ file_server; printer; auth ])
+    | "guard" -> Sep_apps.Guard_app.(topology (), [ guard ])
     | other ->
       Fmt.epr "unknown system %s (snfe|mls|guard)@." other;
       exit 1
-  in
-  let highlight =
-    match which with
-    | "snfe" -> [ Sep_snfe.Snfe.censor_tx; Sep_snfe.Snfe.censor_rx; Sep_snfe.Snfe.crypto_tx; Sep_snfe.Snfe.crypto_rx ]
-    | "mls" -> [ Sep_apps.Mls.file_server; Sep_apps.Mls.printer; Sep_apps.Mls.auth ]
-    | _ -> [ Sep_apps.Guard_app.guard ]
   in
   print_string (Sep_policy.Channel_matrix.to_dot ~highlight (Sep_policy.Channel_matrix.of_topology topo));
   0
@@ -442,26 +415,16 @@ let chrome_arg =
               (load in chrome://tracing or Perfetto).")
 
 let write_chrome file =
-  graceful_write @@ fun () ->
-  let oc = open_out file in
-  output_string oc (Sep_obs.Trace.chrome_string ());
-  close_out oc;
+  write_file file (Sep_obs.Trace.chrome_string ());
   Fmt.pr "wrote %s (%d events)@." file (List.length (Sep_obs.Trace.recorded ()))
 
-let trace_run (scenario, impl) bugs steps trace_json chrome =
+let trace_run ((scenario : Scenarios.instance), impl) bugs steps trace_json chrome =
   if chrome <> None then Sep_obs.Trace.set_enabled true;
-  let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
-  let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
-  let entries = Sep_core.Ktrace.record t ~steps ~inputs in
+  let t = Sue.build ~bugs ~impl scenario.cfg in
+  let entries = Sep_core.Ktrace.record t ~steps ~inputs:(Scenarios.drip scenario.alphabet) in
   print_string (Sep_core.Ktrace.render entries);
-  (match trace_json with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    let oc = open_out file in
-    output_string oc (Sep_core.Ktrace.to_json entries);
-    close_out oc);
-  (match chrome with None -> () | Some file -> write_chrome file);
+  Option.iter (fun file -> write_file file (Sep_core.Ktrace.to_json entries)) trace_json;
+  Option.iter write_chrome chrome;
   0
 
 let trace_cmd =
@@ -473,38 +436,38 @@ let trace_cmd =
 
 let pp_first_violation ppf = function
   | None -> Fmt.string ppf "online monitor: clean (no violation)"
-  | Some (step, (f : Sep_core.Separability.failure)) ->
-    Fmt.pf ppf "online monitor: condition %d first violated at step %d (colour %s)"
-      f.Sep_core.Separability.condition step (Sep_model.Colour.name f.Sep_core.Separability.colour)
+  | Some (step, (f : Separability.failure)) ->
+    Fmt.pf ppf "online monitor: condition %d first violated at step %d (colour %s)" f.condition
+      step (Sep_model.Colour.name f.colour)
+
+(* one checked-in test/corpus case; a file that cannot be read raises
+   Sys_error *)
+let read_corpus_case file =
+  Result.bind
+    (Json.parse (String.trim (In_channel.with_open_bin file In_channel.input_all)))
+    Score.corpus_case_of_json
 
 (* The CI smoke: (1) the monitor's report must agree with the offline
    checker on every clean scenario; (2) every checked-in corpus mutant
    must be flagged online, on its recorded condition, with a step
    attribution. *)
 let monitor_smoke impl corpus_dir =
-  let module S = Sep_core.Separability in
   let module F = Sep_check.Fuzz in
   let ok = ref true in
-  let agree_clean (sc : Sep_core.Scenarios.instance) =
-    let sched = List.init 12 (Sep_core.Scenarios.drip sc.Sep_core.Scenarios.alphabet) in
-    let offline =
-      F.check_schedule ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
-        sc.Sep_core.Scenarios.cfg sched
-    in
-    let online =
-      F.check_schedule_online ~impl ~seed:42 ~alphabet:sc.Sep_core.Scenarios.alphabet
-        sc.Sep_core.Scenarios.cfg sched
-    in
-    let r = online.F.on_report in
+  let agree_clean (sc : Scenarios.instance) =
+    let sched = List.init 12 (Scenarios.drip sc.alphabet) in
+    let offline = F.check_schedule ~impl ~seed:42 ~alphabet:sc.alphabet sc.cfg sched in
+    let online = F.check_schedule_online ~impl ~seed:42 ~alphabet:sc.alphabet sc.cfg sched in
+    let r = online.on_report in
     let agree =
-      offline.S.states = r.S.states && offline.S.checks = r.S.checks
-      && offline.S.cond_checks = r.S.cond_checks
-      && S.verified offline && S.verified r
-      && online.F.on_first_violation = None
+      offline.states = r.states && offline.checks = r.checks
+      && offline.cond_checks = r.cond_checks
+      && Separability.verified offline && Separability.verified r
+      && online.on_first_violation = None
     in
     if not agree then ok := false;
-    Fmt.pr "  %-12s offline %d states / %d checks, online %d / %d: %s@."
-      sc.Sep_core.Scenarios.label offline.S.states offline.S.checks r.S.states r.S.checks
+    Fmt.pr "  %-12s offline %d states / %d checks, online %d / %d: %s@." sc.label offline.states
+      offline.checks r.states r.checks
       (if agree then "agree" else "DISAGREE")
   in
   List.iter
@@ -512,68 +475,59 @@ let monitor_smoke impl corpus_dir =
       match unsupported impl sc with
       | None -> agree_clean sc
       | Some reason -> print_skipped sc reason)
-    Sep_core.Scenarios.all;
+    Scenarios.all;
+  let replay (c : Score.corpus_case) =
+    match Scenarios.find c.cc_scenario with
+    | None -> Error ("unknown scenario " ^ c.cc_scenario)
+    | Some sc ->
+      let online =
+        F.check_schedule_online ~bugs:[ c.cc_bug ] ~impl ~scrambles:c.cc_scrambles ~seed:c.cc_seed
+          ~alphabet:sc.alphabet sc.cfg c.cc_schedule
+      in
+      (* detection is the contract; the identity of every failing
+         condition is the offline replayer's (both reports cap recorded
+         failures, and fill them in different orders) *)
+      let caught =
+        online.on_first_violation <> None && Separability.failing_conditions online.on_report <> []
+      in
+      if not caught then ok := false;
+      Fmt.pr "  %-24s %a  %s@." (Score.bug_name c.cc_bug) pp_first_violation
+        online.on_first_violation
+        (if caught then "caught" else "MISSED");
+      Ok ()
+  in
   if Sys.file_exists corpus_dir && Sys.is_directory corpus_dir then
     Array.iter
       (fun fname ->
-        if Filename.check_suffix fname ".json" then begin
+        if Filename.check_suffix fname ".json" then
           let file = Filename.concat corpus_dir fname in
-          let ic = open_in file in
-          let contents = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match
-            Result.bind (Sep_util.Json.parse (String.trim contents))
-              Sep_check.Score.corpus_case_of_json
-          with
+          match Result.bind (read_corpus_case file) replay with
+          | Ok () -> ()
           | Error msg ->
             ok := false;
-            Fmt.epr "rushby: %s: %s@." file msg
-          | Ok c -> (
-            match Sep_core.Scenarios.find c.Sep_check.Score.cc_scenario with
-            | None ->
-              ok := false;
-              Fmt.epr "rushby: %s: unknown scenario %s@." file c.Sep_check.Score.cc_scenario
-            | Some sc ->
-              let online =
-                F.check_schedule_online ~bugs:[ c.Sep_check.Score.cc_bug ] ~impl
-                  ~scrambles:c.Sep_check.Score.cc_scrambles ~seed:c.Sep_check.Score.cc_seed
-                  ~alphabet:sc.Sep_core.Scenarios.alphabet sc.Sep_core.Scenarios.cfg
-                  c.Sep_check.Score.cc_schedule
-              in
-              (* detection is the contract; the identity of every failing
-                 condition is the offline replayer's (both reports cap
-                 recorded failures, and fill them in different orders) *)
-              let caught =
-                online.F.on_first_violation <> None
-                && S.failing_conditions online.F.on_report <> []
-              in
-              if not caught then ok := false;
-              Fmt.pr "  %-24s %a  %s@."
-                (Fmt.str "%a" Sep_core.Sue.pp_bug c.Sep_check.Score.cc_bug)
-                pp_first_violation online.F.on_first_violation
-                (if caught then "caught" else "MISSED"))
-        end)
+            Fmt.epr "rushby: %s: %s@." file msg)
       (Sys.readdir corpus_dir)
   else begin
     ok := false;
     Fmt.epr "rushby: corpus directory %s not found (use --corpus)@." corpus_dir
   end;
   Fmt.pr "monitor smoke: %s@." (if !ok then "OK" else "FAILED");
-  if !ok then 0 else 1
+  exit_of !ok
 
-let monitor_run (scenario, impl) bugs seed scrambles steps smoke corpus chrome =
+let monitor_run ((scenario : Scenarios.instance), impl) bugs seed scrambles steps smoke corpus
+    chrome =
   if smoke then monitor_smoke impl corpus
   else begin
     if chrome <> None then Sep_obs.Trace.set_enabled true;
-    let sched = List.init steps (Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet) in
+    let sched = List.init steps (Scenarios.drip scenario.alphabet) in
     let online =
-      Sep_check.Fuzz.check_schedule_online ~bugs ~impl ~scrambles ~seed
-        ~alphabet:scenario.Sep_core.Scenarios.alphabet scenario.Sep_core.Scenarios.cfg sched
+      Sep_check.Fuzz.check_schedule_online ~bugs ~impl ~scrambles ~seed ~alphabet:scenario.alphabet
+        scenario.cfg sched
     in
-    Fmt.pr "%a@." Sep_core.Separability.pp_summary online.Sep_check.Fuzz.on_report;
-    Fmt.pr "%a@." pp_first_violation online.Sep_check.Fuzz.on_first_violation;
-    (match chrome with None -> () | Some file -> write_chrome file);
-    if Sep_core.Separability.verified online.Sep_check.Fuzz.on_report then 0 else 1
+    Fmt.pr "%a@." Separability.pp_summary online.on_report;
+    Fmt.pr "%a@." pp_first_violation online.on_first_violation;
+    Option.iter write_chrome chrome;
+    exit_of (Separability.verified online.on_report)
   end
 
 let monitor_cmd =
@@ -599,50 +553,30 @@ let monitor_cmd =
 
 (* -- stats ------------------------------------------------------------------- *)
 
-let link_stats_json (s : Sep_distributed.Net.link_stats) =
-  Sep_util.Json.Obj
-    [
-      ("in_flight", Sep_util.Json.Int s.ls_in_flight);
-      ("drops", Sep_util.Json.Int s.ls_drops);
-      ("lossy_drops", Sep_util.Json.Int s.ls_lossy_drops);
-      ("retransmits", Sep_util.Json.Int s.ls_retransmits);
-      ("acks", Sep_util.Json.Int s.ls_acks);
-      ("backoff_ceiling", Sep_util.Json.Int s.ls_backoff_ceiling);
-      ("partition_drops", Sep_util.Json.Int s.ls_partition_drops);
-    ]
-
-let pp_link_stats ppf (s : Sep_distributed.Net.link_stats) =
-  Fmt.pf ppf
-    "in-flight %d  drops %d  lossy-drops %d  retransmits %d  acks %d  backoff-ceiling %d  \
-     partition-drops %d"
-    s.ls_in_flight s.ls_drops s.ls_lossy_drops s.ls_retransmits s.ls_acks s.ls_backoff_ceiling
-    s.ls_partition_drops
-
-let stats_run (scenario, impl) bugs seed jobs steps json_file =
+let stats_run ((scenario : Scenarios.instance), impl) bugs seed jobs steps json_file =
+  let module Telemetry = Sep_obs.Telemetry in
   Sep_obs.Span.set_enabled true;
-  let t = Sep_core.Sue.build ~bugs ~impl scenario.Sep_core.Scenarios.cfg in
-  let inputs = Sep_core.Scenarios.drip scenario.Sep_core.Scenarios.alphabet in
+  let t = Sue.build ~bugs ~impl scenario.cfg in
+  let inputs = Scenarios.drip scenario.alphabet in
   for n = 0 to steps - 1 do
-    ignore (Sep_core.Sue.step t (inputs n))
+    ignore (Sue.step t (inputs n))
   done;
   (* a small parallel walk sample, so the executor counters below reflect
      this machine's sharding/merge behaviour at the requested job count *)
   ignore
-    (Sep_core.Randomized.sample_states ~bugs ~impl ~jobs
-       ~params:Sep_core.Randomized.default_params ~seed
-       ~inputs:scenario.Sep_core.Scenarios.alphabet scenario.Sep_core.Scenarios.cfg);
-  let tel = Sep_core.Sue.telemetry t in
-  Fmt.pr "== kernel counters: %s, %d steps, %a kernel ==@.%a@."
-    scenario.Sep_core.Scenarios.label steps Sep_core.Sue.pp_impl impl Sep_obs.Telemetry.pp tel;
+    (Sep_core.Randomized.sample_states ~bugs ~impl ~jobs ~params:Sep_core.Randomized.default_params
+       ~seed ~inputs:scenario.alphabet scenario.cfg);
+  let tel = Sue.telemetry t in
+  Fmt.pr "== kernel counters: %s, %d steps, %a kernel ==@.%a@." scenario.label steps Sue.pp_impl
+    impl Telemetry.pp tel;
   (* the distributed substrate's line counters alongside the kernel's: one
      reliable-net pipeline under the default lossy link model *)
   let net_steps = min steps 200 in
-  let rc = Sep_check.Diff.kernel_vs_reliable_net_case ~seed ~steps:net_steps () in
+  let rc = Diff.kernel_vs_reliable_net_case ~seed ~steps:net_steps () in
   Fmt.pr "@.== reliable net (lossy link, %d steps) ==@.  %a  retransmit-queue %d@." net_steps
-    pp_link_stats rc.Sep_check.Diff.rc_stats rc.Sep_check.Diff.rc_retransmit_queue;
-  Fmt.pr "@.== span profile (seconds) ==@.%a@." Sep_obs.Telemetry.pp Sep_obs.Span.registry;
-  Fmt.pr "@.== parallel executor (%d jobs) ==@.%a@." jobs Sep_obs.Telemetry.pp
-    Sep_par.Par.registry;
+    Sep_distributed.Net.pp_link_stats rc.rc_stats rc.rc_retransmit_queue;
+  Fmt.pr "@.== span profile (seconds) ==@.%a@." Telemetry.pp Sep_obs.Span.registry;
+  Fmt.pr "@.== parallel executor (%d jobs) ==@.%a@." jobs Telemetry.pp Sep_par.Par.registry;
   (* the service layer's counters from one clean replicated deployment,
      so retries/timeouts/dedup/shed surface next to the kernel's numbers *)
   let svc_steps = 2500 in
@@ -650,47 +584,32 @@ let stats_run (scenario, impl) bugs seed jobs steps json_file =
   Sep_svc.Svc.run svc ~steps:svc_steps;
   ignore (Sep_svc.Svc.finish svc);
   let svc_tel = Sep_svc.Svc.telemetry svc in
-  Fmt.pr "@.== service layer (fed-fs, %d steps) ==@.%a@." svc_steps Sep_obs.Telemetry.pp svc_tel;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    graceful_write @@ fun () ->
-    Sep_obs.Sink.with_file file (fun sink ->
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "kernel_counters");
-               ("scenario", Sep_util.Json.String scenario.Sep_core.Scenarios.label);
-               ("steps", Sep_util.Json.Int steps);
-               ("telemetry", Sep_obs.Telemetry.to_json tel);
-             ]);
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "net_link");
-               ("steps", Sep_util.Json.Int net_steps);
-               ("delivered", Sep_util.Json.Int rc.Sep_check.Diff.rc_delivered);
-               ("retransmit_queue", Sep_util.Json.Int rc.Sep_check.Diff.rc_retransmit_queue);
-               ("stats", link_stats_json rc.Sep_check.Diff.rc_stats);
-             ]);
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "svc_counters");
-               ("service", Sep_util.Json.String "fed-fs");
-               ("steps", Sep_util.Json.Int svc_steps);
-               ("telemetry", Sep_obs.Telemetry.to_json svc_tel);
-             ]);
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [ ("kind", Sep_util.Json.String "spans"); ("telemetry", Sep_obs.Span.to_json ()) ]);
-        Sep_obs.Sink.emit sink
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "par");
-               ("jobs", Sep_util.Json.Int jobs);
-               ("telemetry", Sep_obs.Telemetry.to_json Sep_par.Par.registry);
-             ])));
+  Fmt.pr "@.== service layer (fed-fs, %d steps) ==@.%a@." svc_steps Telemetry.pp svc_tel;
+  write_records json_file
+    [
+      record "kernel_counters"
+        [
+          ("scenario", Json.String scenario.label);
+          ("steps", Json.Int steps);
+          ("telemetry", Telemetry.to_json tel);
+        ];
+      record "net_link"
+        [
+          ("steps", Json.Int net_steps);
+          ("delivered", Json.Int rc.rc_delivered);
+          ("retransmit_queue", Json.Int rc.rc_retransmit_queue);
+          ("stats", Sep_distributed.Net.link_stats_to_json rc.rc_stats);
+        ];
+      record "svc_counters"
+        [
+          ("service", Json.String "fed-fs");
+          ("steps", Json.Int svc_steps);
+          ("telemetry", Telemetry.to_json svc_tel);
+        ];
+      record "spans" [ ("telemetry", Sep_obs.Span.to_json ()) ];
+      record "par"
+        [ ("jobs", Json.Int jobs); ("telemetry", Telemetry.to_json Sep_par.Par.registry) ];
+    ];
   0
 
 let stats_cmd =
@@ -707,46 +626,60 @@ let stats_cmd =
 
 let metrics_run () =
   Fmt.pr "%a@.@.%a@." Sep_core.Metrics.pp_profile
-    (Sep_core.Metrics.sue_profile Sep_core.Scenarios.pipeline.Sep_core.Scenarios.cfg)
+    (Sep_core.Metrics.sue_profile Scenarios.pipeline.cfg)
     Sep_core.Metrics.pp_profile Sep_core.Metrics.conventional_profile;
   0
 
 let metrics_cmd =
   Cmd.v (Cmd.info "metrics" ~doc:"Print the kernel comparison profiles (E2).") Term.(const metrics_run $ const ())
 
+(* -- the campaigns ------------------------------------------------------------ *)
+
+(* One row of a campaign's outcome tally: the subject, padded to [width],
+   its case count when [cases], the tally (a campaign without a
+   supervisor has no recovered-safe column) and [suffix]; then [detail]
+   as a line of its own, and a VIOLATION line naming each violating
+   plan. *)
+let print_outcomes ?(cases = false) ?(recovered = true) ?(suffix = "") ?detail width label
+    outcomes =
+  let m, d, r, v = Campaign.tally fst outcomes in
+  Fmt.pr "  %-*s %s%3d masked  %3d detected-safe  %s%3d violating%s@." width label
+    (if cases then Fmt.str "%3d cases  " (List.length outcomes) else "")
+    m d
+    (if recovered then Fmt.str "%3d recovered-safe  " r else "")
+    v suffix;
+  Option.iter (Fmt.pr "%s@.") detail;
+  List.iter
+    (fun (o, plan) ->
+      if o = Campaign.Violating then Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp plan)
+    outcomes
+
+let print_campaign ~recovered (report : Campaign.report) =
+  List.iter
+    (fun (sr : Campaign.scenario_report) ->
+      print_outcomes ~recovered
+        ~suffix:(match sr.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "")
+        16 sr.label
+        (List.map (fun (c : Campaign.case) -> (c.outcome, c.plan)) sr.cases))
+    report.rp_scenarios
+
 (* -- inject ------------------------------------------------------------------ *)
 
 let inject_run seed jobs steps count smoke json_file =
   let steps, count = if smoke then (60, 12) else (steps, count) in
-  let module C = Sep_robust.Campaign in
-  let report = C.run ~jobs ~seed ~steps ~count () in
+  let report = Campaign.run ~jobs ~seed ~steps ~count () in
   Fmt.pr "== fault-injection campaign: seed %d, %d steps, %d faults/scenario ==@." seed steps count;
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      (* no supervisor, so nothing is ever recovered-safe *)
-      let m, d, _, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
-      Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d violating%s@." sr.C.label m d v
-        (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
-      List.iter
-        (fun (c : C.case) ->
-          if c.C.outcome = C.Violating then
-            Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.C.plan)
-        sr.C.cases)
-    report.C.rp_scenarios;
-  let masked, detected, _, violating = C.totals report in
-  let dist = C.run_distributed ~seed ~steps:40 ~count:20 in
+  (* no supervisor, so nothing is ever recovered-safe *)
+  print_campaign ~recovered:false report;
+  let masked, detected, _, violating = Campaign.totals report in
+  let dist = Campaign.run_distributed ~seed ~steps:40 ~count:20 in
   Fmt.pr "  %-16s %3d wire-tamper cases, %d messages hit, contained by construction: %b@."
-    "distributed" dist.C.dr_cases dist.C.dr_affected dist.C.dr_contained;
+    "distributed" dist.dr_cases dist.dr_affected dist.dr_contained;
   Fmt.pr "@.totals: %d masked, %d detected-safe, %d separation-violating@." masked detected violating;
-  let ok = C.holds report && dist.C.dr_contained in
+  let ok = Campaign.holds report && dist.dr_contained in
   Fmt.pr "fault containment %s@." (if ok then "HOLDS" else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    List.iter line (C.report_lines report);
-    line (C.dist_to_json dist));
-  if ok then 0 else 1
+  write_jsonl json_file (Campaign.report_lines report @ [ Campaign.dist_to_json dist ]);
+  exit_of ok
 
 let inject_cmd =
   let steps = steps_arg 200 "Steps per run." in
@@ -764,79 +697,34 @@ let inject_cmd =
 
 let recover_run seed jobs steps count smoke drop json_file =
   let steps, count = if smoke then (60, 12) else (steps, count) in
-  let module C = Sep_robust.Campaign in
-  let report = C.run_recovery ~jobs ~seed ~steps ~count () in
+  let cases, net_steps = if smoke then (3, 90) else (6, 150) in
+  let r = Diff.recovery ~jobs ~seed ~steps ~count ~drop ~cases ~net_steps () in
   Fmt.pr "== recovery campaign: seed %d, %d steps, %d fault plans/scenario (plus multi-fault) ==@."
     seed steps count;
-  List.iter
-    (fun (sr : C.scenario_report) ->
-      let m, d, r, v = C.tally (fun (c : C.case) -> c.C.outcome) sr.C.cases in
-      Fmt.pr "  %-16s %3d masked  %3d detected-safe  %3d recovered-safe  %3d violating%s@."
-        sr.C.label m d r v
-        (match sr.C.watchdog with Some w -> Fmt.str "  (watchdog %d)" w | None -> "");
-      List.iter
-        (fun (c : C.case) ->
-          if c.C.outcome = C.Violating then
-            Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.C.plan)
-        sr.C.cases)
-    report.C.rp_scenarios;
-  let masked, detected, recovered, violating = C.totals report in
-  (* the reliable-channel differential: the kernel must still pin against
-     the distributed ideal when the ideal's wires drop, duplicate and
-     reorder frames under the reliable protocol *)
-  let link = { Sep_distributed.Net.default_link_model with Sep_distributed.Net.lm_drop = drop } in
-  let rel_cases, rel_steps = if smoke then (3, 90) else (6, 150) in
-  let rel = Sep_check.Diff.kernel_vs_reliable_net ~link ~seed ~cases:rel_cases ~steps:rel_steps () in
-  let mismatches = List.concat_map (fun rc -> rc.Sep_check.Diff.rc_mismatches) rel in
-  let sum f = List.fold_left (fun n rc -> n + f rc) 0 rel in
+  print_campaign ~recovered:true r.rv_report;
+  let mismatches =
+    List.concat_map (fun (rc : Diff.reliable_case) -> rc.rc_mismatches) r.rv_reliable
+  in
+  let sum f = List.fold_left (fun n (rc : Diff.reliable_case) -> n + f rc) 0 r.rv_reliable in
   Fmt.pr "  %-16s %d cases at %d%% drop: %d delivered, %d retransmits, %d acks, %d mismatch%s@."
-    "reliable-net" rel_cases drop
-    (sum (fun rc -> rc.Sep_check.Diff.rc_delivered))
-    (sum (fun rc -> rc.Sep_check.Diff.rc_stats.Sep_distributed.Net.ls_retransmits))
-    (sum (fun rc -> rc.Sep_check.Diff.rc_stats.Sep_distributed.Net.ls_acks))
+    "reliable-net" cases drop
+    (sum (fun rc -> rc.rc_delivered))
+    (sum (fun rc -> rc.rc_stats.ls_retransmits))
+    (sum (fun rc -> rc.rc_stats.ls_acks))
     (List.length mismatches)
     (if List.compare_length_with mismatches 1 = 0 then "" else "es");
-  List.iter (fun m -> Fmt.pr "    MISMATCH %s@." m) mismatches;
+  List.iter (Fmt.pr "    MISMATCH %s@.") mismatches;
+  let masked, detected, recovered, violating = Campaign.totals r.rv_report in
   Fmt.pr "@.totals: %d masked, %d detected-safe, %d recovered-safe, %d separation-violating@." masked
     detected recovered violating;
-  let ok = C.holds report && recovered > 0 && mismatches = [] in
+  let ok = Diff.recovery_ok r in
   Fmt.pr "fail-operational %s@."
     (if ok then "HOLDS"
      else if violating > 0 then "VIOLATED"
      else if recovered = 0 then "DEGRADED (no fault recovered)"
      else "VIOLATED (reliable-channel differential failed)");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    List.iter line (C.report_lines report);
-    List.iteri
-      (fun i (rc : Sep_check.Diff.reliable_case) ->
-        line
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "reliable-net");
-               ("case", Sep_util.Json.Int i);
-               ("drop", Sep_util.Json.Int drop);
-               ("delivered", Sep_util.Json.Int rc.Sep_check.Diff.rc_delivered);
-               ("stats", link_stats_json rc.Sep_check.Diff.rc_stats);
-               ( "mismatches",
-                 Sep_util.Json.List
-                   (List.map (fun m -> Sep_util.Json.String m) rc.Sep_check.Diff.rc_mismatches) );
-             ]))
-      rel;
-    line
-      (Sep_util.Json.Obj
-         [
-           ("kind", Sep_util.Json.String "recover-summary");
-           ("seed", Sep_util.Json.Int seed);
-           ("masked", Sep_util.Json.Int masked);
-           ("detected_safe", Sep_util.Json.Int detected);
-           ("recovered_safe", Sep_util.Json.Int recovered);
-           ("violating", Sep_util.Json.Int violating);
-           ("ok", Sep_util.Json.Bool ok);
-         ]));
-  if ok then 0 else 1
+  write_jsonl json_file (Diff.recovery_lines r);
+  exit_of ok
 
 let recover_cmd =
   let steps = steps_arg 200 "Steps per run." in
@@ -865,75 +753,44 @@ let federate_run seed jobs steps count smoke chaos json_file =
   let steps, count = if smoke then (300, 8) else (steps, count) in
   let specs = Sep_fed.Fed_scenarios.all in
   Fmt.pr "== kernel federation: seed %d, %d steps ==@." seed steps;
-  let clean =
+  let runs =
     List.map
       (fun (spec : F.spec) ->
         let t = F.build spec in
         F.run t ~steps;
         let ob = F.finish t in
-        let mism = Sep_check.Diff.federation_vs_ideal ~steps spec in
+        let mism = List.map (fun (_, _, m) -> m) (Diff.federation_vs_ideal ~steps spec) in
         Fmt.pr
           "  %-10s %d shards  %d links  %d words shard-to-shard  %d node events  ideal-diff %s@."
-          spec.F.fs_label (F.shards t) (F.links t) ob.F.fob_delivered
-          (List.length ob.F.fob_events)
+          spec.fs_label (F.shards t) (F.links t) ob.fob_delivered (List.length ob.fob_events)
           (if mism = [] then "clean" else "MISMATCH");
-        List.iter (fun (_, _, m) -> Fmt.pr "    MISMATCH %s@." m) mism;
-        (spec, ob, mism))
+        List.iter (Fmt.pr "    MISMATCH %s@.") mism;
+        (mism = [], F.run_to_json ~steps ~ideal_mismatches:mism spec ob))
       specs
   in
-  let ideal_ok = List.for_all (fun (_, _, m) -> m = []) clean in
+  let ideal_ok = List.for_all fst runs in
   let reports =
     if not chaos then []
     else begin
       Fmt.pr "@.== federated chaos campaign: %d seeded plans/scenario (plus directed) ==@." count;
       List.map
-        (fun (spec : F.spec) ->
+        (fun spec ->
           let r = FC.run ~jobs ~seed ~steps ~count spec in
-          let m, d, rc, v = FC.totals r in
-          Fmt.pr
-            "  %-10s %3d cases  %3d masked  %3d detected-safe  %3d recovered-safe  %3d violating  \
-             monitor %s@."
-            r.FC.fr_label (List.length r.FC.fr_cases) m d rc v
-            (if FC.monitor_clean r then "clean" else "VIOLATION");
-          List.iter
-            (fun (c : FC.case) ->
-              if c.FC.fc_outcome = Sep_robust.Campaign.Violating then
-                Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.FC.fc_plan)
-            r.FC.fr_cases;
+          print_outcomes ~cases:true
+            ~suffix:(Fmt.str "  monitor %s" (if FC.monitor_clean r then "clean" else "VIOLATION"))
+            10 r.fr_label
+            (List.map (fun (c : FC.case) -> (c.fc_outcome, c.fc_plan)) r.fr_cases);
           r)
         specs
     end
   in
-  let chaos_ok = List.for_all (fun r -> FC.holds r && FC.monitor_clean r) reports in
-  let ok = ideal_ok && chaos_ok in
+  let ok = ideal_ok && List.for_all (fun r -> FC.holds r && FC.monitor_clean r) reports in
   Fmt.pr "@.federation %s@."
     (if ok then "HOLDS"
      else if not ideal_ok then "VIOLATED (federation diverged from the monolithic ideal)"
      else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    List.iter
-      (fun ((spec : F.spec), (ob : F.observation), mism) ->
-        line
-          (Sep_util.Json.Obj
-             [
-               ("kind", Sep_util.Json.String "fed-run");
-               ("scenario", Sep_util.Json.String spec.F.fs_label);
-               ("steps", Sep_util.Json.Int steps);
-               ("delivered", Sep_util.Json.Int ob.F.fob_delivered);
-               ("frame_rejects", Sep_util.Json.Int ob.F.fob_frame_rejects);
-               ( "events",
-                 Sep_util.Json.List
-                   (List.map (fun (_, e) -> F.node_event_to_json e) ob.F.fob_events) );
-               ("stats", link_stats_json ob.F.fob_stats);
-               ( "ideal_mismatches",
-                 Sep_util.Json.List (List.map (fun (_, _, m) -> Sep_util.Json.String m) mism) );
-             ]))
-      clean;
-    List.iter (fun r -> List.iter line (FC.report_lines r)) reports);
-  if ok then 0 else 1
+  write_jsonl json_file (List.map snd runs @ List.concat_map FC.report_lines reports);
+  exit_of ok
 
 let federate_cmd =
   let steps = steps_arg 600 "Steps per run." in
@@ -973,34 +830,29 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
       | None ->
         Fmt.epr "rushby: unknown service %s (have: %s)@." name
           (String.concat ", "
-             (List.map (fun d -> d.S.dp_name) Sep_apps.Fed_services.all));
+             (List.map (fun (d : S.deployment) -> d.dp_name) Sep_apps.Fed_services.all));
         exit 2)
   in
   Fmt.pr "== services over the federation: seed %d, %d steps, %d soak plans ==@." seed steps soak;
   let reports =
     List.map
-      (fun (dep : S.deployment) ->
+      (fun dep ->
         let r = SC.run ~jobs ~seed ~steps ~soak dep in
-        let m, d, rc, v = SC.totals r in
-        let sum f = List.fold_left (fun acc c -> acc + f c) 0 r.SC.sv_cases in
-        Fmt.pr
-          "  %-9s %3d cases  %3d masked  %3d detected-safe  %3d recovered-safe  %3d violating@."
-          r.SC.sv_name (List.length r.SC.sv_cases) m d rc v;
-        Fmt.pr
-          "            %5d requests  %4d committed  %4d retries  %4d dedup-hits  %4d shed  \
-           contract %s  monitor %s@."
-          (sum (fun c -> c.SC.sc_contract.S.ct_requests))
-          (sum (fun c -> c.SC.sc_contract.S.ct_committed))
-          (sum (fun c -> c.SC.sc_retries))
-          (sum (fun c -> c.SC.sc_dedup_hits))
-          (sum (fun c -> c.SC.sc_shed))
-          (if SC.contracts_ok r then "ok" else "BROKEN")
-          (if SC.monitor_clean r then "clean" else "VIOLATION");
-        List.iter
-          (fun (c : SC.case) ->
-            if c.SC.sc_outcome = Sep_robust.Campaign.Violating then
-              Fmt.pr "    VIOLATION %a@." Sep_robust.Fault_plan.pp c.SC.sc_plan)
-          r.SC.sv_cases;
+        let sum f = List.fold_left (fun acc (c : SC.case) -> acc + f c) 0 r.sv_cases in
+        let detail =
+          Fmt.str
+            "            %5d requests  %4d committed  %4d retries  %4d dedup-hits  %4d shed  \
+             contract %s  monitor %s"
+            (sum (fun c -> c.sc_contract.ct_requests))
+            (sum (fun c -> c.sc_contract.ct_committed))
+            (sum (fun c -> c.sc_retries))
+            (sum (fun c -> c.sc_dedup_hits))
+            (sum (fun c -> c.sc_shed))
+            (if SC.contracts_ok r then "ok" else "BROKEN")
+            (if SC.monitor_clean r then "clean" else "VIOLATION")
+        in
+        print_outcomes ~cases:true ~detail 9 r.sv_name
+          (List.map (fun (c : SC.case) -> (c.sc_outcome, c.sc_plan)) r.sv_cases);
         r)
       deployments
   in
@@ -1008,13 +860,9 @@ let serve_run seed jobs steps soak smoke soak_mode service json_file chrome =
   Fmt.pr "@.service contract %s@."
     (if ok then "HOLDS (every accepted request: exactly-once effect or definite failure)"
      else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    List.iter (fun r -> List.iter line (SC.report_lines r)) reports);
-  (match chrome with None -> () | Some file -> write_chrome file);
-  if ok then 0 else 1
+  write_jsonl json_file (List.concat_map SC.report_lines reports);
+  Option.iter write_chrome chrome;
+  exit_of ok
 
 let serve_cmd =
   let steps = steps_arg 5000 "Service steps per case." in
@@ -1051,37 +899,22 @@ let fuzz_corpus_emit dir seed impl =
   let ok = ref true in
   List.iter
     (fun (e : Sep_core.Mutants.expectation) ->
-      match Sep_check.Score.corpus_case ~impl ~seed e with
+      match Score.corpus_case ~impl ~seed e with
       | None ->
         ok := false;
-        Fmt.epr "rushby: no corpus case found for %a@." Sep_core.Sue.pp_bug e.bug
+        Fmt.epr "rushby: no corpus case found for %s@." (Score.bug_name e.bug)
       | Some c -> (
-        match Sep_check.Score.replay_corpus_case ~impl c with
+        match Score.replay_corpus_case ~impl c with
         | Error msg ->
           ok := false;
           Fmt.epr "rushby: %s@." msg
         | Ok () ->
-          let file = Filename.concat dir (Fmt.str "%a.json" Sep_core.Sue.pp_bug e.bug) in
-          Sep_obs.Sink.with_file file (fun sink ->
-              Sep_obs.Sink.emit sink (Sep_check.Score.corpus_case_to_json c));
-          Fmt.pr "wrote %s (condition %d, %d-step schedule)@." file c.Sep_check.Score.cc_condition
-            (List.length c.Sep_check.Score.cc_schedule)))
+          let file = Filename.concat dir (Score.bug_name e.bug ^ ".json") in
+          write_file file (Sep_obs.Sink.jsonl [ Score.corpus_case_to_json c ]);
+          Fmt.pr "wrote %s (condition %d, %d-step schedule)@." file c.cc_condition
+            (List.length c.cc_schedule)))
     Sep_core.Mutants.catalogue;
-  if !ok then 0 else 1
-
-let fuzz_replay rseed scenario bugs impl walks walk_len scrambles =
-  let params = { Sep_core.Randomized.walks; walk_len; scrambles } in
-  let report =
-    Sep_core.Randomized.check ~bugs ~impl ~params ~seed:rseed
-      ~inputs:scenario.Sep_core.Scenarios.alphabet scenario.Sep_core.Scenarios.cfg
-  in
-  Fmt.pr "%a@." Sep_core.Separability.pp_summary report;
-  if Sep_core.Separability.verified report then 0
-  else begin
-    print_minimized scenario bugs impl rseed params
-      (Sep_core.Separability.failing_conditions report);
-    1
-  end
+  exit_of !ok
 
 let fuzz_full smoke seed jobs budget impl json_file =
   let budget = if smoke then 40 else budget in
@@ -1089,35 +922,32 @@ let fuzz_full smoke seed jobs budget impl json_file =
     List.partition_map
       (fun sc ->
         match unsupported impl sc with None -> Either.Left sc | Some reason -> Right (sc, reason))
-      Sep_core.Scenarios.all
+      Scenarios.all
   in
-  let results =
-    List.map (fun sc -> Sep_check.Fuzz.fuzz_scenario ~impl ~jobs ~seed ~budget sc) runnable
-  in
+  let c = Score.campaign ~impl ~jobs ~seed ~budget runnable in
   Fmt.pr "== coverage-guided fuzz: seed %d, budget %d execs/scenario, %a kernel ==@." seed budget
-    Sep_core.Sue.pp_impl impl;
+    Sue.pp_impl impl;
   List.iter
     (fun (r : Sep_check.Fuzz.scenario_result) ->
       Fmt.pr "  %-12s %3d execs  %2d corpus  %3d coverage keys  %d failure%s@." r.sr_label
-        r.sr_campaign.Sep_check.Fuzz.cp_execs
-        (List.length r.sr_campaign.Sep_check.Fuzz.cp_entries)
-        (List.length r.sr_campaign.Sep_check.Fuzz.cp_keys)
+        r.sr_campaign.cp_execs
+        (List.length r.sr_campaign.cp_entries)
+        (List.length r.sr_campaign.cp_keys)
         (List.length r.sr_failures)
         (if List.compare_length_with r.sr_failures 1 = 0 then "" else "s"))
-    results;
+    c.cg_results;
   List.iter (fun (sc, reason) -> print_skipped sc reason) skipped;
-  let kills = Sep_check.Score.kill_table ~impl ~jobs ~seed ~budget () in
   let table =
     Sep_util.Table.create ~title:"Mutant kill rate per strategy"
       ~columns:[ "bug"; "scenario"; "strategy"; "killed"; "cond"; "states"; "checks"; "execs"; "instrs" ]
   in
   List.iter
-    (fun (k : Sep_check.Score.kill) ->
+    (fun (k : Score.kill) ->
       Sep_util.Table.add_row table
         [
-          Sep_check.Score.bug_name k.kl_bug;
+          Score.bug_name k.kl_bug;
           k.kl_scenario;
-          Sep_check.Score.strategy_name k.kl_strategy;
+          Score.strategy_name k.kl_strategy;
           (if k.kl_detected then "yes" else "NO");
           string_of_int k.kl_condition;
           string_of_int k.kl_states;
@@ -1125,92 +955,43 @@ let fuzz_full smoke seed jobs budget impl json_file =
           string_of_int k.kl_execs;
           (match k.kl_workload with
           | None -> "-"
-          | Some w -> string_of_int (Sep_check.Score.workload_instrs w));
+          | Some w -> string_of_int (Score.workload_instrs w));
         ])
-    kills;
+    c.cg_kills;
   Sep_util.Table.print table;
-  let clean = List.for_all (fun r -> r.Sep_check.Fuzz.sr_failures = []) results in
-  let all_killed = List.for_all (fun k -> k.Sep_check.Score.kl_detected) kills in
-  let minimal =
-    List.for_all
-      (fun (k : Sep_check.Score.kill) ->
-        match k.kl_workload with
-        | None -> true
-        | Some w -> Sep_check.Score.workload_instrs w <= 10)
-      kills
-  in
-  let ok = clean && all_killed && minimal in
+  let clean = Score.clean c and all_killed = Score.all_killed c and minimal = Score.minimal c in
   Fmt.pr "@.correct kernel: %s;  mutants: %s;  counterexamples: %s@."
     (if clean then "all conditions and solo isolation hold on every corpus member"
      else "CONDITION OR ISOLATION FAILURES FOUND")
     (if all_killed then "all killed under every strategy" else "SOME SURVIVED")
     (if minimal then "all killing workloads within 10 instructions" else "SOME ABOVE 10 INSTRUCTIONS");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    List.iter (fun r -> List.iter line (Sep_check.Fuzz.scenario_result_lines r)) results;
-    List.iter
-      (fun k ->
-        match Sep_check.Score.kill_to_json k with
-        | Sep_util.Json.Obj kvs ->
-          line (Sep_util.Json.Obj (("kind", Sep_util.Json.String "fuzz-kill") :: kvs))
-        | other -> line other)
-      kills;
-    line
-      (Sep_util.Json.Obj
-         [
-           ("kind", Sep_util.Json.String "fuzz-summary");
-           ("seed", Sep_util.Json.Int seed);
-           ("budget", Sep_util.Json.Int budget);
-           ("scenarios", Sep_util.Json.Int (List.length results));
-           ( "corpus",
-             Sep_util.Json.Int
-               (List.fold_left
-                  (fun n (r : Sep_check.Fuzz.scenario_result) ->
-                    n + List.length r.sr_campaign.Sep_check.Fuzz.cp_entries)
-                  0 results) );
-           ("kills", Sep_util.Json.Int (List.length kills));
-           ("ok", Sep_util.Json.Bool ok);
-         ]));
-  if ok then 0 else 1
+  write_jsonl json_file (Score.campaign_lines c);
+  exit_of (clean && all_killed && minimal)
 
 (* replay one checked-in test/corpus case: the fixed kernel must verify
    under its schedule AND the seeded bug must still fail the recorded
    condition — the CI regression step *)
 let fuzz_replay_corpus impl file =
   graceful_write @@ fun () ->
-  let ic = open_in file in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let ( let* ) = Result.bind in
   let outcome =
-    match Sep_util.Json.parse (String.trim contents) with
-    | Error msg -> Error msg
-    | Ok j -> (
-      match Sep_check.Score.corpus_case_of_json j with
-      | Error msg -> Error msg
-      | Ok c -> (
-        match Sep_check.Score.replay_corpus_case ~impl c with
-        | Error msg -> Error msg
-        | Ok () ->
-          Ok (Fmt.str "%a condition %d still killed" Sep_core.Sue.pp_bug c.Sep_check.Score.cc_bug
-                c.Sep_check.Score.cc_condition)))
+    let* c = read_corpus_case file in
+    let* () = Score.replay_corpus_case ~impl c in
+    Ok c
   in
   match outcome with
-  | Ok msg ->
-    Fmt.pr "%s: %s@." file msg;
+  | Ok c ->
+    Fmt.pr "%s: %s condition %d still killed@." file (Score.bug_name c.cc_bug) c.cc_condition;
     0
   | Error msg ->
     Fmt.epr "rushby: %s: %s@." file msg;
     1
 
-let fuzz_run smoke seed jobs budget json_file replay replay_corpus (scenario, impl) bugs walks
-    walk_len scrambles emit_corpus =
-  match (emit_corpus, replay, replay_corpus) with
-  | Some dir, _, _ -> fuzz_corpus_emit dir seed impl
-  | None, Some rseed, _ -> fuzz_replay rseed scenario bugs impl walks walk_len scrambles
-  | None, None, Some file -> fuzz_replay_corpus impl file
-  | None, None, None -> fuzz_full smoke seed jobs budget impl json_file
+let fuzz_run smoke seed jobs budget json_file replay_corpus impl emit_corpus =
+  match (emit_corpus, replay_corpus) with
+  | Some dir, _ -> fuzz_corpus_emit dir seed impl
+  | None, Some file -> fuzz_replay_corpus impl file
+  | None, None -> fuzz_full smoke seed jobs budget impl json_file
 
 let fuzz_cmd =
   let budget =
@@ -1218,12 +999,6 @@ let fuzz_cmd =
   in
   let smoke = smoke_arg "Small deterministic budget (40 execs) for CI." in
   let json_file = json_arg "Write corpus, kill table and summary as JSONL to $(docv)." in
-  let replay =
-    Arg.(value & opt (some int) None
-         & info [ "replay" ] ~docv:"SEED"
-             ~doc:"Replay a failing randomized run (with --scenario/--bug/--walks/--len/--scrambles) \
-                   and print its minimized counterexamples.")
-  in
   let emit_corpus =
     Arg.(value & opt (some string) None
          & info [ "emit-corpus" ] ~docv:"DIR"
@@ -1244,8 +1019,7 @@ let fuzz_cmd =
           member), then score how fast exhaustive, randomized and coverage-guided checking kill \
           each seeded kernel bug, shrinking killing workloads to minimal programs.")
     Term.(
-      const fuzz_run $ smoke $ seed_arg $ jobs_arg $ budget $ json_file $ replay $ replay_corpus
-      $ scenario_impl_arg $ bugs_arg $ walks_arg $ walk_len_arg $ scrambles_arg
+      const fuzz_run $ smoke $ seed_arg $ jobs_arg $ budget $ json_file $ replay_corpus $ impl_arg
       $ emit_corpus)
 
 (* -- refine ------------------------------------------------------------------ *)
@@ -1265,107 +1039,33 @@ let refine_replay seed bug =
       Fmt.pr "seed %d does not expose %s: the stack stays in lockstep@." seed bug;
       0
     | Ok (Some k) ->
-      Fmt.pr "seed %d diverges %s at step %d (%s, workload %d -> %d in %d shrinks)@." seed
-        k.Stack.k_bug k.Stack.k_step k.Stack.k_scenario k.Stack.k_original_size
-        k.Stack.k_shrunk_size k.Stack.k_shrink_steps;
+      Fmt.pr "seed %d diverges %s at step %d (%s, workload %d -> %d in %d shrinks)@." seed k.k_bug
+        k.k_step k.k_scenario k.k_original_size k.k_shrunk_size k.k_shrink_steps;
       1)
 
 let refine_full smoke seed jobs json_file =
   let module Stack = Sep_refine.Stack in
-  let module Kact = Sep_refine.Kact in
-  let schedules, steps, machine_cases, stack_cases, attempts =
-    if smoke then (1, 200, 6, 5, 10) else (3, 300, 20, 15, 20)
-  in
-  let scenarios = Stack.scenario_results ~schedules ~steps ~seed () in
-  let machine_runs =
-    List.init machine_cases (fun i ->
-        let cseed = seed + (101 * (i + 1)) in
-        let cfg, schedule = Sep_check.Gen.run ~seed:cseed Stack.machine_case in
-        (cseed, Stack.check_machine cfg ~schedule ~steps))
-  in
-  let stack_runs =
-    List.init stack_cases (fun i ->
-        let cseed = seed + (211 * (i + 1)) in
-        (cseed, Stack.check_stack (Sep_check.Gen.run ~seed:cseed (Kact.gen ()))))
-  in
-  let kills = Stack.kill_table ~jobs ~seed ~attempts () in
-  let checks =
-    List.fold_left
-      (fun acc (_, r) -> match r with Ok c -> acc + c | Error _ -> acc)
-      0
-      (List.map (fun (l, r) -> (l, r)) scenarios
-      @ List.map (fun (s, r) -> (string_of_int s, r)) machine_runs
-      @ List.map (fun (s, r) -> (string_of_int s, r)) stack_runs)
-  in
-  let clean_failures =
-    List.filter_map (fun (label, r) -> match r with Ok _ -> None | Error d -> Some (label, d))
-      (scenarios
-      @ List.map (fun (s, r) -> (Fmt.str "machine seed %d" s, r)) machine_runs
-      @ List.map (fun (s, r) -> (Fmt.str "stack seed %d" s, r)) stack_runs)
-  in
-  let killed = List.filter (fun k -> k.Stack.k_killed) kills in
+  let r = Stack.run ~jobs ~smoke ~seed () in
+  let divergences = Stack.divergences r and killed = Stack.killed r in
   Fmt.pr "== refinement stack: seed %d, %d scenario runs, %d machine + %d stack workloads ==@." seed
-    (List.length scenarios) machine_cases stack_cases;
-  Fmt.pr "  lockstep: %d commuting-square checks, %d divergence%s@." checks
-    (List.length clean_failures)
-    (if List.compare_length_with clean_failures 1 = 0 then "" else "s");
-  List.iter (fun (label, d) -> Fmt.pr "    DIVERGED %s: %a@." label Stack.pp_divergence d)
-    clean_failures;
-  Fmt.pr "  kills: %d/%d seeded bugs caught@." (List.length killed) (List.length kills);
+    (List.length r.rp_scenarios) (List.length r.rp_machines) (List.length r.rp_stacks);
+  Fmt.pr "  lockstep: %d commuting-square checks, %d divergence%s@." (Stack.checks r)
+    (List.length divergences)
+    (if List.compare_length_with divergences 1 = 0 then "" else "s");
+  List.iter
+    (fun (label, d) -> Fmt.pr "    DIVERGED %s: %a@." label Stack.pp_divergence d)
+    divergences;
+  Fmt.pr "  kills: %d/%d seeded bugs caught@." (List.length killed) (List.length r.rp_kills);
   List.iter
     (fun (k : Stack.kill) ->
-      if k.Stack.k_killed then
-        Fmt.pr "    %-26s %-13s step %-3d  %2d -> %2d  (%s)@." k.Stack.k_bug k.Stack.k_scenario
-          k.Stack.k_step k.Stack.k_original_size k.Stack.k_shrunk_size (Stack.replay_command k)
-      else Fmt.pr "    %-26s SURVIVED@." k.Stack.k_bug)
-    kills;
-  let ok = clean_failures = [] && List.length killed = List.length kills in
-  Fmt.pr "refinement %s@." (if ok then "HOLDS" else "VIOLATED");
-  (match json_file with
-  | None -> ()
-  | Some file ->
-    write_jsonl file @@ fun line ->
-    let open Sep_util.Json in
-    line
-      (Obj
-         [
-           ("kind", String "refine-header");
-           ("schema", String "rushby-refine/1");
-           ("seed", Int seed);
-           ("smoke", Bool smoke);
-         ]);
-    let result_line kind label r =
-      line
-        (Obj
-           ([ ("kind", String kind); ("label", String label) ]
-           @
-           match r with
-           | Ok c -> [ ("ok", Bool true); ("checks", Int c) ]
-           | Error d -> [ ("ok", Bool false); ("divergence", Stack.divergence_to_json d) ]))
-    in
-    List.iter (fun (label, r) -> result_line "refine-scenario" label r) scenarios;
-    List.iter (fun (s, r) -> result_line "refine-machine" (string_of_int s) r) machine_runs;
-    List.iter (fun (s, r) -> result_line "refine-stack" (string_of_int s) r) stack_runs;
-    List.iter
-      (fun k ->
-        match Stack.kill_to_json k with
-        | Obj kvs ->
-          line
-            (Obj
-               (("kind", String "refine-kill")
-               :: (kvs @ [ ("replay", String (Stack.replay_command k)) ])))
-        | other -> line other)
-      kills;
-    line
-      (Obj
-         [
-           ("kind", String "refine-summary");
-           ("checks", Int checks);
-           ("kills", Int (List.length killed));
-           ("bugs", Int (List.length kills));
-           ("ok", Bool ok);
-         ]));
-  if ok then 0 else 1
+      if k.k_killed then
+        Fmt.pr "    %-26s %-13s step %-3d  %2d -> %2d  (%s)@." k.k_bug k.k_scenario k.k_step
+          k.k_original_size k.k_shrunk_size (Stack.replay_command k)
+      else Fmt.pr "    %-26s SURVIVED@." k.k_bug)
+    r.rp_kills;
+  Fmt.pr "refinement %s@." (if Stack.holds r then "HOLDS" else "VIOLATED");
+  write_jsonl json_file (Stack.report_lines r);
+  exit_of (Stack.holds r)
 
 let refine_run smoke seed jobs json_file replay bug =
   match replay with

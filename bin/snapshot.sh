@@ -13,7 +13,13 @@
 #   diff -r PARENT_DIR CHANGE_DIR
 #
 # The command set:
-#   - the JSONL reports bin/ci.sh diffs across job counts, at -j 1;
+#   - the JSONL reports bin/ci.sh diffs across job counts, at -j 1
+#     (inject, recover, fuzz on both kernels, federate, refine, serve and
+#     the soak), and recover --smoke --drop 25;
+#   - trace --scenario pipeline with its --trace-json record;
+#   - verify --trace-json and stats --json, whose "spans" and "par"
+#     records carry timings: only the exit code and every other record
+#     are kept (stats prints the same timings on stdout);
 #   - verify on 4 scenarios x 2 kernels x {clean, each of the 8 seeded
 #     bugs}, skipping preemptive x assembly (the assembly kernel has no
 #     preemption quantum);
@@ -21,7 +27,9 @@
 #   - monitor on the 4 scenarios x {clean, each of the 8 seeded bugs},
 #     whose summary line shows the check count past the failure cap and
 #     the first violating step;
-#   - verify-random on pipeline, interrupt and snfe-micro.
+#   - verify-random on pipeline, interrupt and snfe-micro, and on
+#     pipeline with the output-leak bug, whose minimized counterexample
+#     ends in the "replay:" command that reruns it.
 set -euo pipefail
 if [ "$#" -ne 1 ]; then
   echo "usage: bash bin/snapshot.sh DIR" >&2
@@ -51,7 +59,21 @@ snap_json() {
   snap "$name" "$@" --json "$out/$name.jsonl"
 }
 
+# snap_records NAME FLAG ARG... : the exit code, and the JSONL report
+# written to FLAG without its timed "spans" and "par" records
+snap_records() {
+  local name="$1" flag="$2"
+  shift 2
+  snap "$name" "$@" "$flag" "$out/$name.timed"
+  tail -n 1 "$out/$name.out" > "$out/$name.exit"
+  mv "$out/$name.exit" "$out/$name.out"
+  grep -v '^{"kind":"\(spans\|par\)"' "$out/$name.timed" > "$out/$name.jsonl" || true
+  rm -f "$out/$name.timed"
+}
+
 snap_json inject inject --smoke -j 1
+snap_json recover recover --smoke -j 1
+snap recover-drop25 recover --smoke --drop 25 -j 1
 snap_json fuzz fuzz --smoke --seed 5 -j 1
 snap_json fuzz-asm fuzz --smoke --seed 5 --impl assembly -j 1
 snap_json federate federate --smoke --chaos -j 1
@@ -71,6 +93,10 @@ for scenario in pipeline interrupt preemptive snfe-micro; do
   done
 done
 
+snap trace-pipeline trace --scenario pipeline --trace-json "$out/trace-pipeline.jsonl"
+snap_records verify-records --trace-json verify --scenario pipeline
+snap_records stats-records --json stats --scenario pipeline -j 1
+
 snap mutants mutants
 snap monitor-smoke monitor --smoke
 for scenario in pipeline interrupt preemptive snfe-micro; do
@@ -82,3 +108,4 @@ done
 for scenario in pipeline interrupt snfe-micro; do
   snap "verify-random-$scenario" verify-random --scenario "$scenario"
 done
+snap verify-random-pipeline-output-leak verify-random --scenario pipeline --bug output-leak

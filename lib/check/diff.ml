@@ -11,18 +11,6 @@ module Net = Sep_distributed.Net
 module Fed = Sep_fed.Fed
 module Campaign = Sep_robust.Campaign
 
-let inert_program = [ Isa.Label "loop"; Isa.Instr (Isa.Trap 0); Isa.Branch "loop" ]
-
-let solo_config (cfg : Isa.stmt list Config.t) keep =
-  {
-    cfg with
-    Config.regimes =
-      List.map
-        (fun (r : _ Config.regime) ->
-          if Colour.equal r.Config.colour keep then r else { r with Config.program = inert_program })
-        cfg.Config.regimes;
-  }
-
 (* Flow-controlled drive, as in the fault campaign: a scheduled word
    queues until its Rx latch is free, so every regime consumes the same
    word sequence however the processor is shared — without the handshake
@@ -31,33 +19,12 @@ let solo_config (cfg : Isa.stmt list Config.t) keep =
 let observed_tx ?(bugs = []) ?(impl = Sue.Microcode) ?(settle = 48) cfg ~schedule =
   let t = Sue.build ~bugs ~impl cfg in
   let m = Sue.machine t in
-  let ndev = Machine.num_devices m in
-  let queues = Array.init ndev (fun _ -> Queue.create ()) in
+  let is_rx (d, _) = d >= 0 && d < Machine.num_devices m && Machine.device_kind m d = Machine.Rx in
   let sched = Array.of_list schedule in
-  let flat = ref [] in
-  let steps = Array.length sched + settle in
-  for n = 0 to steps - 1 do
-    if n < Array.length sched then
-      List.iter
-        (fun (d, w) ->
-          if d >= 0 && d < ndev && Machine.device_kind m d = Machine.Rx then Queue.add w queues.(d))
-        sched.(n);
-    let input =
-      List.concat
-        (List.init ndev (fun d ->
-             if (not (Queue.is_empty queues.(d))) && snd (Machine.device_regs m d) = 0 then
-               [ (d, Queue.pop queues.(d)) ]
-             else []))
-    in
-    List.iter (fun o -> flat := o :: !flat) (Sue.step t input)
-  done;
-  (* [flat] holds emissions newest-first, so pushing in that order leaves
-     each device's list oldest-first already *)
-  let per_dev = Array.make ndev [] in
-  List.iter (fun (d, w) -> per_dev.(d) <- w :: per_dev.(d)) !flat;
-  List.concat
-    (List.init ndev (fun d ->
-         if Machine.device_kind m d = Machine.Tx then [ (d, per_dev.(d)) ] else []))
+  let arrivals n = if n < Array.length sched then List.filter is_rx sched.(n) else [] in
+  List.filter
+    (fun (d, _) -> Machine.device_kind m d = Machine.Tx)
+    (Campaign.drive t ~steps:(Array.length sched + settle) arrivals)
 
 let solo_check ?impl ?settle cfg ~schedule =
   let whole = observed_tx ?impl ?settle cfg ~schedule in
@@ -66,7 +33,8 @@ let solo_check ?impl ?settle cfg ~schedule =
   let probe = Sue.build cfg in
   List.concat_map
     (fun colour ->
-      let solo = observed_tx ?impl ?settle (solo_config cfg colour) ~schedule in
+      let solo_cfg = Campaign.inert_except (Colour.equal colour) cfg in
+      let solo = observed_tx ?impl ?settle solo_cfg ~schedule in
       List.filter_map
         (fun (d, whole_words) ->
           if not (Colour.equal (Sue.device_owner probe d) colour) then None
@@ -251,6 +219,57 @@ let kernel_vs_reliable_net ?link ~seed ~cases ~steps () =
       let case_seed = Int64.to_int (Prng.bits64 rng) land 0x3fffffff in
       kernel_vs_reliable_net_case ?link ~seed:case_seed ~steps ())
 
+(* -- The recovery campaign ----------------------------------------------------- *)
+
+type recovery = {
+  rv_report : Campaign.report;
+  rv_drop : int;
+  rv_reliable : reliable_case list;
+}
+
+(* the reliable-channel differential: the kernel must still pin against
+   the distributed ideal when the ideal's wires drop, duplicate and
+   reorder frames under the reliable protocol *)
+let recovery ?jobs ~seed ~steps ~count ~drop ~cases ~net_steps () =
+  let rv_report = Campaign.run_recovery ?jobs ~seed ~steps ~count () in
+  let link = { Net.default_link_model with Net.lm_drop = drop } in
+  let rv_reliable = kernel_vs_reliable_net ~link ~seed ~cases ~steps:net_steps () in
+  { rv_report; rv_drop = drop; rv_reliable }
+
+let recovery_ok r =
+  let _, _, recovered, _ = Campaign.totals r.rv_report in
+  Campaign.holds r.rv_report && recovered > 0
+  && List.for_all (fun rc -> rc.rc_mismatches = []) r.rv_reliable
+
+let recovery_lines r =
+  let module J = Sep_util.Json in
+  let masked, detected, recovered, violating = Campaign.totals r.rv_report in
+  Campaign.report_lines r.rv_report
+  @ List.mapi
+      (fun i rc ->
+        J.Obj
+          [
+            ("kind", J.String "reliable-net");
+            ("case", J.Int i);
+            ("drop", J.Int r.rv_drop);
+            ("delivered", J.Int rc.rc_delivered);
+            ("stats", Net.link_stats_to_json rc.rc_stats);
+            ("mismatches", J.List (List.map (fun m -> J.String m) rc.rc_mismatches));
+          ])
+      r.rv_reliable
+  @ [
+      J.Obj
+        [
+          ("kind", J.String "recover-summary");
+          ("seed", J.Int r.rv_report.Campaign.rp_seed);
+          ("masked", J.Int masked);
+          ("detected_safe", J.Int detected);
+          ("recovered_safe", J.Int recovered);
+          ("violating", J.Int violating);
+          ("ok", J.Bool (recovery_ok r));
+        ];
+    ]
+
 (* -- The federation vs the monolithic ideal ----------------------------------- *)
 
 (* The federation's ideal is the same uncut global configuration on ONE
@@ -260,26 +279,7 @@ let kernel_vs_reliable_net ?link ~seed ~cases ~steps () =
    words: every global device's federated output stream must be
    prefix-compatible with the ideal's. *)
 let ideal_outputs (spec : Fed.spec) ~steps =
-  let t = Sue.build spec.Fed.fs_cfg in
-  let m = Sue.machine t in
-  let drip = Sep_core.Scenarios.drip spec.Fed.fs_alphabet in
-  let ndev = Machine.num_devices m in
-  let queues = Array.init ndev (fun _ -> Queue.create ()) in
-  let flat = ref [] in
-  for n = 0 to steps - 1 do
-    List.iter (fun (d, w) -> if d >= 0 && d < ndev then Queue.add w queues.(d)) (drip n);
-    let input =
-      List.concat
-        (List.init ndev (fun d ->
-             if (not (Queue.is_empty queues.(d))) && snd (Machine.device_regs m d) = 0 then
-               [ (d, Queue.pop queues.(d)) ]
-             else []))
-    in
-    List.iter (fun o -> flat := o :: !flat) (Sue.step t input)
-  done;
-  let per_dev = Array.make ndev [] in
-  List.iter (fun (d, w) -> per_dev.(d) <- w :: per_dev.(d)) !flat;
-  List.init ndev (fun d -> (d, per_dev.(d)))
+  Campaign.drive (Sue.build spec.Fed.fs_cfg) ~steps (Sep_core.Scenarios.drip spec.Fed.fs_alphabet)
 
 let federation_vs_ideal ?plan ?(steps = 600) (spec : Fed.spec) =
   let t = Fed.build ?plan spec in

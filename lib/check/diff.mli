@@ -21,13 +21,6 @@ module Config = Sep_core.Config
 module Sue = Sep_core.Sue
 module Isa = Sep_hw.Isa
 
-val inert_program : Isa.stmt list
-(** [loop: Trap 0; branch loop] — the regime that does nothing but
-    yield. *)
-
-val solo_config : Isa.stmt list Config.t -> Colour.t -> Isa.stmt list Config.t
-(** The same topology with every regime but one running {!inert_program}. *)
-
 val observed_tx :
   ?bugs:Sue.bug list -> ?impl:Sue.impl -> ?settle:int -> Isa.stmt list Config.t ->
   schedule:Sue.input list -> (int * int list) list
@@ -44,11 +37,6 @@ val solo_check :
     prefix-compatible. Each violation reports (owner, device id, detail). *)
 
 (** {1 Kernel vs. the distributed substrate} *)
-
-val gen_case :
-  Sep_util.Prng.t -> Sep_model.Topology.t * (int -> (Colour.t * string) list)
-(** A generated differential case: 2–4 stateless components (fan-out,
-    relay, sink) over random wires, plus an external-input schedule. *)
 
 val kernel_vs_net_case :
   ?kernel_bugs:Sep_core.Regime_kernel.bug list -> seed:int -> steps:int -> unit ->
@@ -95,6 +83,31 @@ val kernel_vs_reliable_net :
   ?link:Sep_distributed.Net.link_model ->
   seed:int -> cases:int -> steps:int -> unit -> reliable_case list
 (** [cases] independent cases, link seeds drawn from [seed]. *)
+
+(** {1 The recovery campaign}
+
+    [rushby recover]: {!Sep_robust.Campaign.run_recovery}, then the
+    reliable-channel differential under a lossy link. *)
+
+type recovery = {
+  rv_report : Sep_robust.Campaign.report;
+  rv_drop : int;  (** the lossy link's drop rate, percent *)
+  rv_reliable : reliable_case list;
+}
+
+val recovery :
+  ?jobs:int -> seed:int -> steps:int -> count:int -> drop:int -> cases:int -> net_steps:int ->
+  unit -> recovery
+(** The campaign over [steps]-step runs and [count] plans per scenario,
+    then [cases] reliable-net cases of [net_steps] steps each. *)
+
+val recovery_ok : recovery -> bool
+(** Fail-operational holds: no separation-violating case, some case
+    recovered, and no differential mismatch. *)
+
+val recovery_lines : recovery -> Sep_util.Json.t list
+(** {!Sep_robust.Campaign.report_lines}, one ["reliable-net"] line per
+    differential case, then one ["recover-summary"]. *)
 
 (** {1 The federation vs the monolithic ideal}
 

@@ -455,6 +455,7 @@ let execute_recovery ?(policy = Recover.default_policy) ?(scrambles = 2) ?(settl
   let sys = Sue.to_system ~inputs:alphabet cfg in
   { ex_keys = keys; ex_report = Separability.check_states sys (List.rev !states) }
 
+(* Add, drop, move or re-target a crash point (at most three per input). *)
 let mutate_crashes ~colours ~max_steps rng crashes =
   let arr = Array.of_list colours in
   let fresh () = (Prng.int rng max_steps, Prng.choose rng arr) in

@@ -163,20 +163,6 @@ type recovery_input = {
   ri_crashes : crash list;
 }
 
-val execute_recovery :
-  ?policy:Sep_recover.Recover.policy -> ?scrambles:int -> ?settle:int -> seed:int ->
-  alphabet:Sue.input list -> Isa.stmt list Config.t -> recovery_input -> exec
-(** One run under a recovery supervisor ({!Sep_recover.Recover.tick}
-    after every step). States are sampled on both sides of every
-    crash-restart boundary — after each step (catching parked states) and
-    after each supervision round that acted (catching restored states) —
-    so the condition check quantifies over the full recovery cycle. *)
-
-val mutate_crashes :
-  colours:Colour.t list -> max_steps:int -> Sep_util.Prng.t -> crash list -> crash list
-(** Add, drop, move or re-target a crash point (at most three per
-    input). *)
-
 type recovery_failure = {
   rf_schedule : schedule;
   rf_crashes : crash list;

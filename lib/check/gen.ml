@@ -41,8 +41,7 @@ let frequency weighted rng =
   in
   go 0 weighted
 
-let list_len n g rng = List.init n (fun _ -> g rng)
-let list ~max_len g rng = list_len (Prng.int rng (max_len + 1)) g rng
+let list ~max_len g rng = List.init (Prng.int rng (max_len + 1)) (fun _ -> g rng)
 
 let int_any rng =
   match Prng.int rng 8 with
@@ -53,6 +52,8 @@ let int_any rng =
   | 5 -> Prng.int_in rng (-100000) 100000
   | _ -> Int64.to_int (Prng.bits64 rng)
 
+(* finite floats only: the JSON writer renders non-finite floats as
+   null, which cannot round-trip *)
 let float_finite rng =
   match Prng.int rng 6 with
   | 0 -> 0.0

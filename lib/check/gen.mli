@@ -37,21 +37,14 @@ val int_in : int -> int -> int t
 
 val bool : bool t
 val oneof : 'a t list -> 'a t
-val oneof_val : 'a list -> 'a t
 val frequency : (int * 'a t) list -> 'a t
 (** Weighted choice; weights must be positive. *)
 
 val list : max_len:int -> 'a t -> 'a list t
 (** Length uniform in [\[0, max_len\]]. *)
 
-val list_len : int -> 'a t -> 'a list t
-
 val int_any : int t
 (** Full-range OCaml ints, biased toward 0, small values and the extremes. *)
-
-val float_finite : float t
-(** Finite floats only (the JSON writer renders non-finite floats as
-    [null], which cannot round-trip). *)
 
 val utf8_string : max_len:int -> string t
 (** Valid UTF-8 by construction, mixing ASCII, control characters, Latin
@@ -150,4 +143,4 @@ val crashes :
   colours:Sep_model.Colour.t list -> max_steps:int -> max_crashes:int ->
   (int * Sep_model.Colour.t) list t
 (** 1–[max_crashes] crash points (step, victim) for
-    {!Fuzz.execute_recovery}-style runs. *)
+    crash-restart runs ({!Fuzz.fuzz_recovery}). *)

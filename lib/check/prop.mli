@@ -14,8 +14,6 @@ type budget = {
 val budget : ?max_runs:int -> ?max_shrink_steps:int -> ?deadline:float -> unit -> budget
 (** Defaults: 200 runs, 1000 shrink candidates, no deadline. *)
 
-val default_budget : budget
-
 type 'a counterexample = {
   cx_seed : int;  (** the seed that replays this failure *)
   cx_run : int;  (** 1-based index of the failing draw *)

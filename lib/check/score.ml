@@ -21,17 +21,6 @@ type workload = {
 
 let workload_instrs w = List.fold_left (fun n (_, acts) -> n + Gen.instr_count acts) 0 w.wl_progs
 
-let pp_workload ppf w =
-  Fmt.pf ppf "@[<v>";
-  List.iter
-    (fun (c, acts) ->
-      Fmt.pf ppf "%a: [%a] (%d instrs)@," Colour.pp c
-        Fmt.(list ~sep:(any "; ") Gen.pp_action)
-        acts (Gen.instr_count acts))
-    w.wl_progs;
-  Fmt.pf ppf "schedule: %d step%s@]" (List.length w.wl_sched)
-    (if List.compare_length_with w.wl_sched 1 > 0 then "s" else "")
-
 let apply_workload cfg w =
   {
     cfg with
@@ -140,6 +129,7 @@ type kill = {
 let kill_to_json k =
   J.Obj
     ([
+       ("kind", J.String "fuzz-kill");
        ("bug", J.String (bug_name k.kl_bug));
        ("scenario", J.String k.kl_scenario);
        ("strategy", J.String (strategy_name k.kl_strategy));
@@ -276,6 +266,49 @@ let kill_table ?impl ?jobs ~seed ~budget () =
          | Exhaustive -> exhaustive_kill ?impl e
          | Randomized -> randomized_kill ?impl ~jobs:1 ~seed e
          | Coverage -> coverage_kill ?impl ~jobs:1 ~seed ~budget e)
+
+(* ------------------------------------------------------------------ *)
+(* The fuzz campaign                                                   *)
+
+type campaign = {
+  cg_seed : int;
+  cg_budget : int;
+  cg_results : Fuzz.scenario_result list;
+  cg_kills : kill list;
+}
+
+let campaign ?impl ?jobs ~seed ~budget scenarios =
+  let cg_results = List.map (Fuzz.fuzz_scenario ?impl ?jobs ~seed ~budget) scenarios in
+  let cg_kills = kill_table ?impl ?jobs ~seed ~budget () in
+  { cg_seed = seed; cg_budget = budget; cg_results; cg_kills }
+
+let clean c = List.for_all (fun (r : Fuzz.scenario_result) -> r.sr_failures = []) c.cg_results
+let all_killed c = List.for_all (fun k -> k.kl_detected) c.cg_kills
+
+let minimal c =
+  List.for_all
+    (fun k -> match k.kl_workload with None -> true | Some w -> workload_instrs w <= 10)
+    c.cg_kills
+
+let campaign_lines c =
+  List.concat_map Fuzz.scenario_result_lines c.cg_results
+  @ List.map kill_to_json c.cg_kills
+  @ [
+      J.Obj
+        [
+          ("kind", J.String "fuzz-summary");
+          ("seed", J.Int c.cg_seed);
+          ("budget", J.Int c.cg_budget);
+          ("scenarios", J.Int (List.length c.cg_results));
+          ( "corpus",
+            J.Int
+              (List.fold_left
+                 (fun n (r : Fuzz.scenario_result) -> n + List.length r.sr_campaign.Fuzz.cp_entries)
+                 0 c.cg_results) );
+          ("kills", J.Int (List.length c.cg_kills));
+          ("ok", J.Bool (clean c && all_killed c && minimal c));
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression corpus                                                   *)

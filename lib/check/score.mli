@@ -44,13 +44,6 @@ val workload_instrs : workload -> int
 (** Total machine words of all rendered regime programs — the size that
     killing workloads are minimized against. *)
 
-val pp_workload : Format.formatter -> workload -> unit
-
-val apply_workload : Sep_hw.Isa.stmt list Config.t -> workload -> Sep_hw.Isa.stmt list Config.t
-(** The scenario topology with each regime's program replaced by the
-    workload's rendering (partitions grown to fit). Devices, channels and
-    quantum are untouched. *)
-
 (** {1 Kill records} *)
 
 type strategy =
@@ -73,15 +66,9 @@ type kill = {
 }
 
 val kill_to_json : kill -> Sep_util.Json.t
+(** The ["fuzz-kill"] record. *)
+
 val pp_kill : Format.formatter -> kill -> unit
-
-val exhaustive_kill : ?impl:Sue.impl -> ?state_limit:int -> Mutants.expectation -> kill
-
-val randomized_kill :
-  ?impl:Sue.impl -> ?max_walks:int -> ?jobs:int -> seed:int -> Mutants.expectation -> kill
-(** Walk counts escalate 1, 2, 4, … up to [max_walks] (default 32);
-    [kl_execs] is the cumulative number of walks sampled. [jobs] is the
-    walk parallelism of each {!Sep_core.Randomized.check}. *)
 
 val coverage_kill :
   ?impl:Sue.impl -> ?jobs:int -> seed:int -> budget:int -> Mutants.expectation -> kill
@@ -95,6 +82,33 @@ val kill_table : ?impl:Sue.impl -> ?jobs:int -> seed:int -> budget:int -> unit -
     Each (mutant, strategy) cell is one task of a {!Sep_par.Par.map} over
     up to [jobs] domains (inner engines then run sequentially); the table
     is bit-identical for any job count. *)
+
+(** {1 The fuzz campaign} *)
+
+type campaign = {
+  cg_seed : int;
+  cg_budget : int;
+  cg_results : Fuzz.scenario_result list;  (** one per scenario, in order *)
+  cg_kills : kill list;
+}
+
+val campaign :
+  ?impl:Sue.impl -> ?jobs:int -> seed:int -> budget:int -> Sep_core.Scenarios.instance list ->
+  campaign
+(** [rushby fuzz]: {!Fuzz.fuzz_scenario} on each scenario, then
+    {!kill_table}. *)
+
+val clean : campaign -> bool
+(** Every condition and solo isolation held on every corpus member. *)
+
+val all_killed : campaign -> bool
+
+val minimal : campaign -> bool
+(** Every killing workload is within 10 instructions. *)
+
+val campaign_lines : campaign -> Sep_util.Json.t list
+(** Each scenario's {!Fuzz.scenario_result_lines}, one ["fuzz-kill"] line
+    per kill, then one ["fuzz-summary"]. *)
 
 (** {1 Regression corpus} *)
 

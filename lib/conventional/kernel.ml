@@ -178,14 +178,4 @@ let pp_denial ppf d =
     | Ss_violation -> "ss-violation"
     | Star_violation -> "star-violation")
 
-let pp_syscall ppf c =
-  Fmt.string ppf
-    (match c with
-    | Create -> "create"
-    | Read -> "read"
-    | Write -> "write"
-    | Append -> "append"
-    | Delete -> "delete"
-    | Ipc_send -> "ipc-send")
-
 let syscall_surface = 6

@@ -71,7 +71,6 @@ type stats = {
 val stats : t -> stats
 
 val pp_denial : Format.formatter -> denial -> unit
-val pp_syscall : Format.formatter -> syscall -> unit
 
 val syscall_surface : int
 (** Number of distinct policy-mediated kernel entry points — a size/

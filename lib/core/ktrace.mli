@@ -33,12 +33,6 @@ type event =
       (** audit: a restart found its checkpoint corrupt; regime left parked *)
   | Warm_rebooted  (** audit: the kernel warm-rebooted out of an all-parked halt *)
 
-val event_of_fault : Sue.kernel_fault -> event
-(** The audit event of a {!Sue.kernel_fault} — total, so a new fault kind
-    cannot compile without a trace event. {!step} drains the kernel's
-    audit log (via {!Sue.drain_faults}) after each phase and interleaves
-    these events at the point of detection. *)
-
 val pp_event : Format.formatter -> event -> unit
 
 type entry = { step : int; events : event list }
@@ -64,9 +58,6 @@ val event_to_json : event -> Sep_util.Json.t
     [warm-rebooted]). Exhaustive over the constructors
     by construction: a new event cannot compile without a schema entry. *)
 
-val entry_to_json : entry -> Sep_util.Json.t
-(** [{"step": n, "events": [...]}]. *)
-
 val to_json : entry list -> string
-(** JSONL: one {!entry_to_json} line per entry — the machine-readable
-    sibling of {!render}. *)
+(** JSONL: one [{"step": n, "events": [...]}] line per entry — the
+    machine-readable sibling of {!render}. *)

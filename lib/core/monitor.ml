@@ -24,9 +24,8 @@ let create ?max_failures sys =
           ("step", Sep_util.Json.Int !step);
         ]
       "violation";
-    ignore
-      (Sep_obs.Trace.dump
-         ~reason:(Fmt.str "separability violation: condition %d at step %d" f.condition !step))
+    Sep_obs.Trace.dump
+      ~reason:(Fmt.str "separability violation: condition %d at step %d" f.condition !step)
   in
   { checker = Separability.online ?max_failures ~on_first_failure sys; step; first }
 

@@ -1126,7 +1126,7 @@ let kernel_panic t reason =
   done;
   (* flush the flight recorder: the ring now ends with the audit instant
      for this panic, preceded by the events that led up to it *)
-  ignore (Sep_obs.Trace.dump ~reason:("kernel-panic: " ^ reason))
+  Sep_obs.Trace.dump ~reason:("kernel-panic: " ^ reason)
 
 (* Model a whole-node power failure: every regime's live context is lost
    and the machine halts in the all-parked state, exactly the halt a panic

@@ -138,8 +138,6 @@ type kernel_fault =
           stays parked *)
   | Warm_reboot  (** {!warm_reboot} ran (the audit log survives it) *)
 
-val pp_kernel_fault : Format.formatter -> kernel_fault -> unit
-
 val drain_faults : t -> kernel_fault list
 (** Remove and return the audit log, oldest first. The log is shared by
     {!copy} (like the counters) and capped; counters in {!kstats} are not

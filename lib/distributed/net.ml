@@ -426,6 +426,26 @@ let link_stats t =
     ls_partition_drops = t.partition_dropped;
   }
 
+let link_stats_to_json s =
+  let module J = Sep_util.Json in
+  J.Obj
+    [
+      ("in_flight", J.Int s.ls_in_flight);
+      ("drops", J.Int s.ls_drops);
+      ("lossy_drops", J.Int s.ls_lossy_drops);
+      ("retransmits", J.Int s.ls_retransmits);
+      ("acks", J.Int s.ls_acks);
+      ("backoff_ceiling", J.Int s.ls_backoff_ceiling);
+      ("partition_drops", J.Int s.ls_partition_drops);
+    ]
+
+let pp_link_stats ppf s =
+  Fmt.pf ppf
+    "in-flight %d  drops %d  lossy-drops %d  retransmits %d  acks %d  backoff-ceiling %d  \
+     partition-drops %d"
+    s.ls_in_flight s.ls_drops s.ls_lossy_drops s.ls_retransmits s.ls_acks s.ls_backoff_ceiling
+    s.ls_partition_drops
+
 (* -- Partitions --------------------------------------------------------------
 
    A partition severs the physical line: everything in transit at the

@@ -108,6 +108,12 @@ val link_stats : t -> link_stats
     ([ls_lossy_drops], [ls_retransmits], [ls_acks], [ls_backoff_ceiling])
     stay 0. *)
 
+val link_stats_to_json : link_stats -> Sep_util.Json.t
+(** [{"in_flight", "drops", "lossy_drops", "retransmits", "acks",
+    "backoff_ceiling", "partition_drops"}]. *)
+
+val pp_link_stats : Format.formatter -> link_stats -> unit
+
 val set_wire_up : t -> wire:int -> bool -> unit
 (** Partition (or heal) one physical line. Taking a wire down loses
     everything in transit on it and discards every frame and ack placed

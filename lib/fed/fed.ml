@@ -88,22 +88,6 @@ type node_event =
   | Link_tampered of int * int
   | Frame_rejected of int
 
-let pp_node_event ppf = function
-  | Node_crashed s -> Fmt.pf ppf "node %d crashed" s
-  | Node_down_detected s -> Fmt.pf ppf "node %d declared down (heartbeat timeout)" s
-  | Node_failover (s, cs) ->
-    Fmt.pf ppf "node %d failover: revived %a" s Fmt.(list ~sep:comma Colour.pp) cs
-  | Node_abandoned s -> Fmt.pf ppf "node %d abandoned (reboot budget exhausted)" s
-  | Node_quarantined (s, cs) ->
-    Fmt.pf ppf "node %d quarantined: %a parked at the boundary" s Fmt.(list ~sep:comma Colour.pp) cs
-  | Node_rejoined s -> Fmt.pf ppf "node %d rejoined" s
-  | Link_down w -> Fmt.pf ppf "link %d partitioned" w
-  | Link_healed w -> Fmt.pf ppf "link %d healed" w
-  | Link_tampered (w, n) -> Fmt.pf ppf "link %d tampered (%d frames forged)" w n
-  | Frame_rejected s ->
-    if s < 0 then Fmt.pf ppf "control node rejected a frame"
-    else Fmt.pf ppf "node %d rejected a frame (bad checksum)" s
-
 let node_event_to_json e =
   let simple kind n field = J.Obj [ ("event", J.String kind); (field, J.Int n) ] in
   let colours cs = J.List (List.map (fun c -> J.String (Colour.name c)) cs) in
@@ -215,24 +199,16 @@ let router name ~wires =
    live on different shards is cut everywhere: its send end is drained by
    the source NIC, its receive end fed by the destination NIC, which is
    the wire-cutting argument realised as an actual wire. *)
-let inert_program = [ Isa.Label "loop"; Isa.Instr (Isa.Trap 0); Isa.Branch "loop" ]
-
 let shard_config spec s =
-  let regimes =
-    List.map
-      (fun r ->
-        if shard_of_spec spec r.Config.colour = s then r
-        else { r with Config.program = inert_program })
-      spec.fs_cfg.Config.regimes
-  in
+  let cfg = Campaign.inert_except (fun c -> shard_of_spec spec c = s) spec.fs_cfg in
   let channels =
     List.map
       (fun ch ->
         let inter = shard_of_spec spec ch.Config.sender <> shard_of_spec spec ch.Config.receiver in
         { ch with Config.cut = ch.Config.cut || inter })
-      spec.fs_cfg.Config.channels
+      cfg.Config.channels
   in
-  { spec.fs_cfg with Config.regimes; channels }
+  { cfg with Config.channels }
 
 (* -- The federation --------------------------------------------------------- *)
 
@@ -434,9 +410,7 @@ let kernel t ~shard = t.kernels.(shard)
 let net t = t.net
 let shards t = t.nshards
 let links t = t.nwires
-let powered t ~shard = t.powered.(shard)
 let shard_state t ~shard = t.state.(shard)
-let step_no t = t.step_no
 let events t = List.rev t.events
 
 (* The service layer's doors into the federation: queue words for a
@@ -649,13 +623,6 @@ let supervise t n =
 
 (* -- Stepping --------------------------------------------------------------- *)
 
-let remove_one x xs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
-  in
-  go [] xs
-
 let force_stuck t =
   List.iter
     (fun d ->
@@ -708,7 +675,10 @@ let step t =
   (* External arrivals flow-controlled per device, as in Campaign: a word
      queues until its Rx latch is free, so every regime consumes the same
      word sequence however the shards interleave. A quarantined shard's
-     devices are additionally held at the boundary — parked, not lost. *)
+     devices are additionally held at the boundary — parked, not lost.
+     This is not {!Campaign.drive}'s loop: here faults strike before the
+     input is built, and a stuck device keeps its word queued where the
+     campaign's wrapper pops and discards it. *)
   List.iter (fun (d, w) -> if d >= 0 && d < t.ndev then Queue.add w t.queues.(d)) (t.inputs n);
   force_stuck t;
   for s = 0 to t.nshards - 1 do
@@ -724,7 +694,7 @@ let step t =
               && Machine.device_status m d = 0
             then
               if List.mem d t.pending_drops then begin
-                t.pending_drops <- remove_one d t.pending_drops;
+                t.pending_drops <- Campaign.remove_one d t.pending_drops;
                 ignore (Queue.pop t.queues.(d))
               end
               else input := (d, Queue.pop t.queues.(d)) :: !input)
@@ -782,15 +752,10 @@ let finish t =
   done;
   let detections = ref [] and recoveries = ref [] and wd = ref 0 in
   for s = 0 to t.nshards - 1 do
-    let recs, rest =
-      List.partition
-        (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false)
-        (Sue.drain_faults t.kernels.(s))
-    in
-    let corrupt, wdl = List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest in
+    let recs, corrupt, fires = Campaign.split_audit (Sue.drain_faults t.kernels.(s)) in
     detections := !detections @ corrupt;
     recoveries := !recoveries @ recs;
-    wd := !wd + List.length wdl
+    wd := !wd + fires
   done;
   let per_dev = Array.make (max 1 t.ndev) [] in
   List.iter (fun (d, w) -> per_dev.(d) <- w :: per_dev.(d)) (List.rev t.flat_out);
@@ -845,3 +810,16 @@ let finish t =
   }
 
 let device_owner_colour t d = t.device_colour.(d)
+
+let run_to_json ~steps ~ideal_mismatches spec ob =
+  J.Obj
+    [
+      ("kind", J.String "fed-run");
+      ("scenario", J.String spec.fs_label);
+      ("steps", J.Int steps);
+      ("delivered", J.Int ob.fob_delivered);
+      ("frame_rejects", J.Int ob.fob_frame_rejects);
+      ("events", J.List (List.map (fun (_, e) -> node_event_to_json e) ob.fob_events));
+      ("stats", Net.link_stats_to_json ob.fob_stats);
+      ("ideal_mismatches", J.List (List.map (fun m -> J.String m) ideal_mismatches));
+    ]

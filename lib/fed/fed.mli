@@ -70,10 +70,6 @@ val wire_receiver : spec -> int -> Colour.t option
     lines) — the target-set computation for link faults: severing or
     forging a line can perturb at most its receiver. *)
 
-val shard_config : spec -> int -> Isa.stmt list Config.t
-(** The configuration one shard runs: full global layout, non-hosted
-    regimes inert, inter-shard channels cut. *)
-
 (** {1 Policy} *)
 
 type policy = {
@@ -108,7 +104,7 @@ type node_event =
   | Frame_rejected of int
       (** a forged frame failed its checksum at this shard (-1: control node) *)
 
-val pp_node_event : Format.formatter -> node_event -> unit
+
 val node_event_to_json : node_event -> Sep_util.Json.t
 
 (** {1 Building and running} *)
@@ -157,8 +153,6 @@ val net : t -> Net.t
     and {!Net.outputs} on it read nothing between steps; its
     {!Net.link_stats} and {!Net.telemetry} cover the whole run. *)
 
-val powered : t -> shard:int -> bool
-
 (** The supervisor's view of one shard. *)
 type shard_state =
   | Up
@@ -166,7 +160,6 @@ type shard_state =
   | Abandoned
 
 val shard_state : t -> shard:int -> shard_state
-val step_no : t -> int
 val events : t -> (int * node_event) list
 val device_owner_colour : t -> int -> Colour.t
 
@@ -209,3 +202,9 @@ type observation = {
 val finish : t -> observation
 (** Final guard sweeps and supervisor ticks on powered shards, then the
     collected observation (audit logs drained). *)
+
+val run_to_json :
+  steps:int -> ideal_mismatches:string list -> spec -> observation -> Sep_util.Json.t
+(** The ["fed-run"] record of a clean run of [steps] steps: the words
+    carried shard-to-shard, the rejected frames, the node events, the
+    link statistics, and the mismatches against the monolithic ideal. *)

@@ -48,8 +48,6 @@ type report = {
   fr_cases : case list;
 }
 
-val targets_of : Fed.spec -> Fault_plan.t -> Colour.t list
-
 val noticed : Fed.observation -> bool
 (** The federation noticed a fault: a kernel-level corruption detection,
     a checksum-rejected frame, or the supervisor seeing a node down or

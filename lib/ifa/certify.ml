@@ -42,8 +42,3 @@ let certify env stmt =
   List.rev !out
 
 let secure env stmt = certify env stmt = []
-
-let pp_violation ppf v =
-  Fmt.pf ppf "%s flow %a -> %a at `%s`"
-    (if v.implicit then "implicit" else "explicit")
-    Sclass.pp v.flow_from Sclass.pp v.flow_to v.site

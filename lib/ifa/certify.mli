@@ -33,5 +33,3 @@ val certify : env -> Ast.stmt -> violation list
     is certified secure by IFA. *)
 
 val secure : env -> Ast.stmt -> bool
-
-val pp_violation : Format.formatter -> violation -> unit

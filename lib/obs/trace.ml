@@ -31,7 +31,6 @@ let count = ref 0 (* live events in the ring *)
 let total = ref 0 (* events offered since last clear *)
 let epoch = ref 0.0
 let next_id = Atomic.make 1
-let dump_path = ref None
 let dump_hooks : (string -> event list -> unit) list ref = ref []
 let last = ref None
 
@@ -127,34 +126,22 @@ let event_to_json ev =
   in
   J.Obj (if ev.args = [] then base else base @ [ ("args", J.Obj ev.args) ])
 
-let to_chrome events =
-  J.Obj
-    [
-      ("traceEvents", J.List (List.map event_to_json events));
-      ("displayTimeUnit", J.String "ns");
-    ]
-
-let chrome_string () = J.to_string (to_chrome (recorded ()))
-
-let set_dump_path p = dump_path := p
+let chrome_string () =
+  J.to_string
+    (J.Obj
+       [
+         ("traceEvents", J.List (List.map event_to_json (recorded ())));
+         ("displayTimeUnit", J.String "ns");
+       ])
 
 let on_dump f = dump_hooks := f :: !dump_hooks
 
 let dump ~reason =
-  if not (Atomic.get on) then None
-  else begin
+  if Atomic.get on then begin
     instant ~cat:"flight" ~args:[ ("reason", J.String reason) ] "dump";
     let events = recorded () in
     last := Some (reason, events);
-    List.iter (fun f -> f reason events) !dump_hooks;
-    match !dump_path with
-    | None -> None
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (J.to_string (to_chrome events));
-      output_char oc '\n';
-      close_out oc;
-      Some path
+    List.iter (fun f -> f reason events) !dump_hooks
   end
 
 let last_dump () = !last

@@ -56,9 +56,6 @@ val capacity : unit -> int
 val clear : unit -> unit
 (** Drop all recorded events and reset the sequence counter. *)
 
-val fresh_id : unit -> int
-(** A process-unique nonzero id for a new span or flow edge. *)
-
 val emit :
   ?id:int -> ?args:(string * Sep_util.Json.t) list -> cat:string -> phase:phase -> string -> unit
 (** Record one event (no-op while disabled). *)
@@ -87,29 +84,21 @@ val event_to_json : event -> Sep_util.Json.t
     (microseconds), "pid", "tid", "id"?, "args"?}]. Exhaustive over
     {!phase} by construction. *)
 
-val to_chrome : event list -> Sep_util.Json.t
-(** [{"traceEvents": [...], "displayTimeUnit": "ns"}] — the envelope
-    Chrome and Perfetto accept. *)
-
 val chrome_string : unit -> string
-(** {!to_chrome} of {!recorded}, serialized. *)
-
-val set_dump_path : string option -> unit
-(** Where {!dump} writes (default: none — dumps are kept in memory for
-    {!last_dump} only). *)
+(** {!recorded} in the envelope Chrome and Perfetto accept,
+    [{"traceEvents": [...], "displayTimeUnit": "ns"}], serialized. *)
 
 val on_dump : (string -> event list -> unit) -> unit
 (** Register an observer called with the reason and the events on every
     {!dump} — tests and the CLI use this; hooks persist until process
     exit. *)
 
-val dump : reason:string -> string option
+val dump : reason:string -> unit
 (** Flush the flight recorder: emit a final [Instant] marking [reason],
-    write the Chrome JSON to the dump path (returned) if one is set, and
-    notify {!on_dump} observers. The ring is {e not} cleared — a later
-    incident extends the same trace. No-op returning [None] while
-    disabled. [Sue] calls this on kernel panic; the online monitor calls
-    it on the first separability violation. *)
+    keep the events for {!last_dump} and notify {!on_dump} observers.
+    The ring is {e not} cleared — a later incident extends the same
+    trace. No-op while disabled. [Sue] calls this on kernel panic; the
+    online monitor calls it on the first separability violation. *)
 
 val last_dump : unit -> (string * event list) option
 (** The reason and events of the most recent {!dump}, if any. *)

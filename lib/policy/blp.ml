@@ -31,12 +31,3 @@ let decide s access o =
   { granted; ss_ok; star_ok; by_trust }
 
 let permitted s access o = (decide s access o).granted
-
-let pp_access ppf a =
-  Fmt.string ppf (match a with Read -> "read" | Write -> "write" | Append -> "append")
-
-let pp_verdict ppf v =
-  Fmt.pf ppf "%s (ss=%b, star=%b%s)"
-    (if v.granted then "granted" else "denied")
-    v.ss_ok v.star_ok
-    (if v.by_trust then ", by trust" else "")

@@ -49,6 +49,3 @@ val decide : subject -> access -> obj -> verdict
 
 val permitted : subject -> access -> obj -> bool
 (** [(decide s a o).granted]. *)
-
-val pp_access : Format.formatter -> access -> unit
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -256,9 +256,12 @@ type kill = {
   k_shrink_steps : int;
 }
 
+let replay_command k = Fmt.str "rushby refine --replay %d --bug %s" k.k_seed k.k_bug
+
 let kill_to_json k =
   Json.Obj
     [
+      ("kind", Json.String "refine-kill");
       ("bug", Json.String k.k_bug);
       ("level", Json.String k.k_level);
       ("killed", Json.Bool k.k_killed);
@@ -269,9 +272,8 @@ let kill_to_json k =
       ("original_size", Json.Int k.k_original_size);
       ("shrunk_size", Json.Int k.k_shrunk_size);
       ("shrink_steps", Json.Int k.k_shrink_steps);
+      ("replay", Json.String (replay_command k));
     ]
-
-let replay_command k = Fmt.str "rushby refine --replay %d --bug %s" k.k_seed k.k_bug
 
 type target =
   | Sue_bug of Sue.bug
@@ -416,3 +418,83 @@ let replay ~seed ~bug =
   | None ->
     Error (Fmt.str "unknown bug %S (known: %s)" bug (String.concat ", " known_bugs))
   | Some target -> Ok (attempt_target target ~seed ~attempt:1)
+
+(* -- The refinement campaign ------------------------------------------------- *)
+
+type report = {
+  rp_seed : int;
+  rp_smoke : bool;
+  rp_scenarios : (string * (int, divergence) result) list;
+  rp_machines : (int * (int, divergence) result) list;
+  rp_stacks : (int * (int, divergence) result) list;
+  rp_kills : kill list;
+}
+
+let run ?jobs ~smoke ~seed () =
+  let schedules, steps, machine_cases, stack_cases, attempts =
+    if smoke then (1, 200, 6, 5, 10) else (3, 300, 20, 15, 20)
+  in
+  let rp_scenarios = scenario_results ~schedules ~steps ~seed () in
+  let rp_machines =
+    List.init machine_cases (fun i ->
+        let cseed = seed + (101 * (i + 1)) in
+        let cfg, schedule = Gen.run ~seed:cseed machine_case in
+        (cseed, check_machine cfg ~schedule ~steps))
+  in
+  let rp_stacks =
+    List.init stack_cases (fun i ->
+        let cseed = seed + (211 * (i + 1)) in
+        (cseed, check_stack (Gen.run ~seed:cseed (Kact.gen ()))))
+  in
+  let rp_kills = kill_table ?jobs ~seed ~attempts () in
+  { rp_seed = seed; rp_smoke = smoke; rp_scenarios; rp_machines; rp_stacks; rp_kills }
+
+(* every lockstep run, labelled as the report prints it *)
+let runs r =
+  r.rp_scenarios
+  @ List.map (fun (s, res) -> (Fmt.str "machine seed %d" s, res)) r.rp_machines
+  @ List.map (fun (s, res) -> (Fmt.str "stack seed %d" s, res)) r.rp_stacks
+
+let checks r =
+  List.fold_left (fun acc (_, res) -> match res with Ok c -> acc + c | Error _ -> acc) 0 (runs r)
+
+let divergences r =
+  List.filter_map
+    (fun (label, res) -> match res with Ok _ -> None | Error d -> Some (label, d))
+    (runs r)
+
+let killed r = List.filter (fun k -> k.k_killed) r.rp_kills
+let holds r = divergences r = [] && List.length (killed r) = List.length r.rp_kills
+
+let report_lines r =
+  let result_line kind label res =
+    Json.Obj
+      ([ ("kind", Json.String kind); ("label", Json.String label) ]
+      @
+      match res with
+      | Ok c -> [ ("ok", Json.Bool true); ("checks", Json.Int c) ]
+      | Error d -> [ ("ok", Json.Bool false); ("divergence", divergence_to_json d) ])
+  in
+  [
+    Json.Obj
+      [
+        ("kind", Json.String "refine-header");
+        ("schema", Json.String "rushby-refine/1");
+        ("seed", Json.Int r.rp_seed);
+        ("smoke", Json.Bool r.rp_smoke);
+      ];
+  ]
+  @ List.map (fun (label, res) -> result_line "refine-scenario" label res) r.rp_scenarios
+  @ List.map (fun (s, res) -> result_line "refine-machine" (string_of_int s) res) r.rp_machines
+  @ List.map (fun (s, res) -> result_line "refine-stack" (string_of_int s) res) r.rp_stacks
+  @ List.map kill_to_json r.rp_kills
+  @ [
+      Json.Obj
+        [
+          ("kind", Json.String "refine-summary");
+          ("checks", Json.Int (checks r));
+          ("kills", Json.Int (List.length (killed r)));
+          ("bugs", Json.Int (List.length r.rp_kills));
+          ("ok", Json.Bool (holds r));
+        ];
+    ]

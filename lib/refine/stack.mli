@@ -33,7 +33,6 @@ type divergence = {
 }
 
 val pp_divergence : Format.formatter -> divergence -> unit
-val divergence_to_json : divergence -> Json.t
 
 (** {1 The commuting squares} *)
 
@@ -81,7 +80,6 @@ type kill = {
   k_shrink_steps : int;
 }
 
-val kill_to_json : kill -> Json.t
 val replay_command : kill -> string
 
 val kill_table : ?jobs:int -> seed:int -> attempts:int -> unit -> kill list
@@ -97,3 +95,36 @@ val replay : seed:int -> bug:string -> (kill option, string) result
     name. *)
 
 val known_bugs : string list
+
+(** {1 The refinement campaign} *)
+
+type report = {
+  rp_seed : int;
+  rp_smoke : bool;
+  rp_scenarios : (string * (int, divergence) result) list;  (** {!scenario_results} *)
+  rp_machines : (int * (int, divergence) result) list;
+      (** {!check_machine} on generated {!machine_case}s, by seed *)
+  rp_stacks : (int * (int, divergence) result) list;
+      (** {!check_stack} on generated {!Kact} workloads, by seed *)
+  rp_kills : kill list;  (** {!kill_table} *)
+}
+
+val run : ?jobs:int -> smoke:bool -> seed:int -> unit -> report
+(** [rushby refine]: the lockstep sweep and the kill race, at CI budgets
+    when [smoke]. *)
+
+val checks : report -> int
+(** Commuting-square checks over every lockstep run. *)
+
+val divergences : report -> (string * divergence) list
+(** The lockstep runs that diverged on the clean kernel, labelled. *)
+
+val killed : report -> kill list
+
+val holds : report -> bool
+(** No clean run diverged and every seeded bug was killed. *)
+
+val report_lines : report -> Json.t list
+(** One ["refine-header"] line, one ["refine-scenario"],
+    ["refine-machine"] or ["refine-stack"] line per lockstep run, one
+    ["refine-kill"] line per bug, then one ["refine-summary"]. *)

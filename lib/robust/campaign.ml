@@ -2,6 +2,7 @@ module Colour = Sep_model.Colour
 module Component = Sep_model.Component
 module Topology = Sep_model.Topology
 module Machine = Sep_hw.Machine
+module Isa = Sep_hw.Isa
 module Sue = Sep_core.Sue
 module Config = Sep_core.Config
 module Scenarios = Sep_core.Scenarios
@@ -104,6 +105,64 @@ let catalogue =
 
 let subjects = List.map fst catalogue
 
+(* -- Driving a kernel ---------------------------------------------------------- *)
+
+let inert_program = [ Isa.Label "loop"; Isa.Instr (Isa.Trap 0); Isa.Branch "loop" ]
+
+let inert_except keep (cfg : Isa.stmt list Config.t) =
+  {
+    cfg with
+    Config.regimes =
+      List.map
+        (fun (r : _ Config.regime) ->
+          if keep r.Config.colour then r else { r with Config.program = inert_program })
+        cfg.Config.regimes;
+  }
+
+let remove_one x xs =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
+  in
+  go [] xs
+
+(* Flow-controlled delivery: a dripped word queues until its Rx latch is
+   free (status 0), so each regime consumes the same word sequence no
+   matter how the processor is shared. Without the handshake the
+   external world doubles as a clock — parking one regime shifts when
+   another samples its latch, and that is the timing channel the paper
+   excludes, not a separation violation. *)
+let drive ?step ?(after = ignore) t ~steps arrivals =
+  let step = Option.value step ~default:(fun _ input -> Sue.step t input) in
+  let m = Sue.machine t in
+  let ndev = Machine.num_devices m in
+  let queues = Array.init ndev (fun _ -> Queue.create ()) in
+  let per_dev = Array.make ndev [] in
+  for n = 0 to steps - 1 do
+    List.iter (fun (d, w) -> if d >= 0 && d < ndev then Queue.add w queues.(d)) (arrivals n);
+    let input =
+      List.concat
+        (List.init ndev (fun d ->
+             if (not (Queue.is_empty queues.(d))) && snd (Machine.device_regs m d) = 0 then
+               [ (d, Queue.pop queues.(d)) ]
+             else []))
+    in
+    List.iter (fun (d, w) -> per_dev.(d) <- w :: per_dev.(d)) (step n input);
+    after ()
+  done;
+  List.init ndev (fun d -> (d, List.rev per_dev.(d)))
+
+(* Three ways: recovery actions (restart, warm reboot), liveness events
+   (watchdog fires), corruption detections (everything else, checkpoint
+   corruption included). Without a supervisor the recovery bucket is
+   empty. *)
+let split_audit faults =
+  let recoveries, rest =
+    List.partition (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false) faults
+  in
+  let corrupt, wd = List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest in
+  (recoveries, corrupt, List.length wd)
+
 (* -- The stepping wrapper -------------------------------------------------- *)
 
 type runner = {
@@ -153,13 +212,6 @@ let apply r fault =
   | Mem_flip _ | Saved_reg_flip _ | Guard_smash _ | Chan_flip _ | Rx_latch_flip _
   | Spurious_irq _ ->
     strike r.t fault
-
-let remove_one x xs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
-  in
-  go [] xs
 
 let force_stuck r =
   let m = Sue.machine r.t in
@@ -225,54 +277,16 @@ let observe_run ?watchdog ?recover ?(hook = fun _ () -> ()) (sc : Scenarios.inst
       dup_after = [];
     }
   in
-  let m = Sue.machine t in
-  let ndev = Machine.num_devices m in
-  let inputs = Scenarios.drip sc.Scenarios.alphabet in
-  (* Flow-controlled delivery: a dripped word queues until its Rx latch is
-     free (status 0), so each regime consumes the same word sequence no
-     matter how the processor is shared. Without the handshake the
-     external world doubles as a clock — parking one regime shifts when
-     another samples its latch, and that is the timing channel the paper
-     excludes, not a separation violation. *)
-  let queues = Array.init ndev (fun _ -> Queue.create ()) in
-  let flat = ref [] in
-  for n = 0 to steps - 1 do
-    List.iter (fun (d, w) -> if d < ndev then Queue.add w queues.(d)) (inputs n);
-    let input =
-      List.concat
-        (List.init ndev (fun d ->
-             if (not (Queue.is_empty queues.(d))) && snd (Machine.device_regs m d) = 0 then
-               [ (d, Queue.pop queues.(d)) ]
-             else []))
-    in
-    List.iter (fun o -> flat := o :: !flat) (step r n input);
-    on_step ();
-    supervise ()
-  done;
+  let ob_outputs =
+    drive ~step:(step r)
+      ~after:(fun () -> on_step (); supervise ())
+      t ~steps (Scenarios.drip sc.Scenarios.alphabet)
+  in
   ignore (Sue.guard_sweep t);
   supervise ();
-  (* Three ways: recovery actions (restart, warm reboot), liveness events
-     (watchdog fires), corruption detections (everything else, checkpoint
-     corruption included). Without a supervisor the recovery bucket is
-     empty and the split is exactly the old corrupt/watchdog partition. *)
-  let recoveries, rest =
-    List.partition
-      (function Sue.Regime_restart _ | Sue.Warm_reboot -> true | _ -> false)
-      (Sue.drain_faults t)
-  in
-  let corrupt, wd =
-    List.partition (function Sue.Watchdog_expired _ -> false | _ -> true) rest
-  in
-  let per_dev = Hashtbl.create 8 in
-  for d = 0 to ndev - 1 do
-    Hashtbl.add per_dev d []
-  done;
-  List.iter (fun (d, w) -> Hashtbl.replace per_dev d (w :: Hashtbl.find per_dev d)) (List.rev !flat);
-  let ob_outputs = List.init ndev (fun d -> (d, List.rev (Hashtbl.find per_dev d))) in
+  let ob_recoveries, ob_detections, ob_wd_fires = split_audit (Sue.drain_faults t) in
   let ob_status = List.map (fun c -> (c, Sue.regime_status t c)) (Config.colours sc.Scenarios.cfg) in
-  ( { ob_outputs; ob_status; ob_detections = corrupt; ob_recoveries = recoveries;
-      ob_wd_fires = List.length wd },
-    t )
+  ({ ob_outputs; ob_status; ob_detections; ob_recoveries; ob_wd_fires }, t)
 
 (* -- Classification -------------------------------------------------------- *)
 

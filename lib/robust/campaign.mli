@@ -72,6 +72,37 @@ val colour_diverged :
     {!prefix_compatible} with the [reference] one. Both transcripts list
     the same devices in the same order. *)
 
+(** {1 Driving a kernel}
+
+    Helpers shared by the code that steps kernels: this campaign, the
+    federation ({!Sep_fed.Fed}, which steps its shards its own way) and
+    the differential checks ({!Sep_check.Diff}). *)
+
+val inert_except :
+  (Colour.t -> bool) -> Sep_hw.Isa.stmt list Sep_core.Config.t ->
+  Sep_hw.Isa.stmt list Sep_core.Config.t
+(** The configuration with every regime whose colour fails the test
+    running the inert yield loop [loop: Trap 0; branch loop] instead:
+    partitions, devices and channels stay where they were. *)
+
+val remove_one : 'a -> 'a list -> 'a list
+(** The list without its first element equal to the given one. *)
+
+val drive :
+  ?step:(int -> Sue.input -> (int * int) list) -> ?after:(unit -> unit) -> Sue.t -> steps:int ->
+  (int -> Sue.input) -> (int * int list) list
+(** Run [steps] steps under flow-controlled delivery: the words arriving
+    at step [n] (ids outside the machine dropped) queue per device, and
+    each step delivers one word to every device whose Rx latch is free.
+    [step n input] makes the step (default {!Sue.step}); [after] runs
+    after each. Returns, for every device id, the words emitted on it in
+    order. *)
+
+val split_audit : Sue.kernel_fault list -> Sue.kernel_fault list * Sue.kernel_fault list * int
+(** An audit log three ways: recovery actions (restarts and warm
+    reboots), corruption detections (everything but watchdog fires) and
+    the number of watchdog fires. *)
+
 type case = {
   plan : Fault_plan.t;
   target : Colour.t option;

@@ -59,9 +59,6 @@ type node_space = {
     generated faults are drawn below these bounds; the federation driver
     maps them onto its own topology. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-val fault_to_json : fault -> Sep_util.Json.t
-
 type t = {
   label : string;
   faults : (int * fault) list;  (** (step, fault), ascending by step *)

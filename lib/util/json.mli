@@ -15,10 +15,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-(** Append the compact rendering of a value. Strings are escaped per RFC
-    8259; non-finite floats render as [null]. *)
-
 val to_string : t -> string
 (** Compact one-line rendering. *)
 

@@ -16,7 +16,14 @@ let render t =
   measure t.columns;
   List.iter measure t.rows;
   let pad i cell = cell ^ String.make (widths.(i) - String.length cell) ' ' in
-  let line row = String.concat "  " (List.mapi pad row) in
+  (* no line ends in blanks: not the last column's padding, nor the
+     separators before empty trailing cells *)
+  let line row =
+    let s = String.concat "  " (List.mapi pad row) in
+    let n = ref (String.length s) in
+    while !n > 0 && s.[!n - 1] = ' ' do decr n done;
+    String.sub s 0 !n
+  in
   let rule = String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)) in
   let buf = Buffer.create 256 in
   Buffer.add_string buf ("== " ^ t.title ^ " ==\n");

@@ -13,7 +13,8 @@ val add_row : t -> string list -> unit
     error. *)
 
 val render : t -> string
-(** Render with a title line, a header, a rule, and aligned rows. *)
+(** Render with a title line, a header, a rule, and aligned rows. No
+    line ends in a blank. *)
 
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)

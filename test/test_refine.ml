@@ -181,6 +181,31 @@ let replay_divergent_exits_1 () =
 let replay_unknown_bug_rejected () =
   check "unknown bug name is an error" true (rushby "refine --replay 1 --bug no-such-bug" <> 0)
 
+(* A failing verify-random prints the command that reruns it on its
+   "replay:" line; that command, run verbatim, must fail the same way and
+   print the same report *)
+let stdout_of cmd =
+  let file = Filename.temp_file "rushby" ".out" in
+  let status = Sys.command (Fmt.str "%s > %s 2> /dev/null" cmd (Filename.quote file)) in
+  let out = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (status, out)
+
+let replay_line_reruns () =
+  let exe = sibling_exe "../bin/rushby.exe" in
+  let status, out = stdout_of (exe ^ " verify-random --scenario pipeline --bug output-leak") in
+  Alcotest.(check int) "the failing run exits 1" 1 status;
+  let prefix = "replay: rushby " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+  with
+  | None -> Alcotest.fail "no replay: line"
+  | Some line ->
+    let args = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+    let status', out' = stdout_of (exe ^ " " ^ args) in
+    Alcotest.(check int) "the replay exits 1" 1 status';
+    Alcotest.(check string) "the replay prints the same" out out'
+
 (* The assembly kernel has no preemption quantum: every subcommand that
    takes --scenario and --impl rejects the combination as a usage error *)
 let unsupported_combination_exits_2 sub () =
@@ -222,12 +247,13 @@ let main () =
         [
           Alcotest.test_case "divergent replay exits 1" `Quick replay_divergent_exits_1;
           Alcotest.test_case "unknown bug rejected" `Quick replay_unknown_bug_rejected;
+          Alcotest.test_case "verify-random replay line reruns" `Quick replay_line_reruns;
         ]
         @ List.map
             (fun sub ->
               Alcotest.test_case (sub ^ " rejects preemptive on assembly") `Quick
                 (unsupported_combination_exits_2 sub))
-            [ "verify"; "verify-random"; "trace"; "monitor"; "stats"; "fuzz" ]
+            [ "verify"; "verify-random"; "trace"; "monitor"; "stats" ]
         @ [
             Alcotest.test_case "monitor --smoke on assembly" `Quick
               (catalogue_on_assembly_exits_0 ("monitor --smoke --corpus " ^ sibling_exe "corpus"));

@@ -206,6 +206,17 @@ let test_table_render () =
   (* title, header, rule, 2 rows, trailing "" after the final newline *)
   check Alcotest.int "line count" 6 (List.length lines)
 
+let test_table_no_trailing_blanks () =
+  let t = Table.create ~title:"t" ~columns:[ "a"; "bb"; "c" ] in
+  Table.add_row t [ "xxx"; "y"; "" ];
+  Table.add_row t [ "z" ];
+  Table.add_row t [ "u"; "v"; "w" ];
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      if n > 0 && line.[n - 1] = ' ' then Alcotest.failf "line ends in a blank: %S" line)
+    (String.split_on_char '\n' (Table.render t))
+
 let test_table_too_many_cells () =
   let t = Table.create ~title:"t" ~columns:[ "a" ] in
   Alcotest.check_raises "too many cells" (Invalid_argument "Table.add_row: too many cells")
@@ -307,6 +318,7 @@ let () =
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
+          Alcotest.test_case "no trailing blanks" `Quick test_table_no_trailing_blanks;
           Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
         ] );
       ( "json",
